@@ -68,17 +68,12 @@ func DecodeTable(r *bincodec.Reader) (*Table, error) {
 		if r.Err() != nil {
 			break
 		}
-		leaf := t.leafFor(va, true)
-		pte := PTE{
+		t.set(t.leafFor(va, true), memlayout.Index(va, 0), PTE{
 			PFN:      pfn,
 			Present:  flags&1 != 0,
 			Writable: flags&2 != 0,
 			PKey:     pkey,
-		}
-		leaf.ptes[memlayout.Index(va, 0)] = pte
-		if pte.Present {
-			t.populated++
-		}
+		})
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("pagetable: %w", err)

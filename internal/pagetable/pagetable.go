@@ -6,6 +6,8 @@
 package pagetable
 
 import (
+	"math/bits"
+
 	"domainvirt/internal/memlayout"
 )
 
@@ -18,11 +20,20 @@ type PTE struct {
 }
 
 // node is one radix node: either 512 child pointers or 512 leaf PTEs.
+// A leaf also keeps a present bitmap (bit i set iff ptes[i].Present), so
+// range enumeration visits populated slots with TrailingZeros64 instead
+// of testing every slot of a mostly empty region.
 type node struct {
 	children [memlayout.RadixFanout]*node
 	ptes     [memlayout.RadixFanout]PTE
+	present  [memlayout.RadixFanout / 64]uint64
 	leaf     bool
 }
+
+// MaxVPN is one past the highest page number the 4-level radix resolves
+// without aliasing: a VA at or above 1<<48 indexes the same slots as its
+// low 48 bits.
+const MaxVPN = uint64(1) << (memlayout.NumLevels * memlayout.RadixBits)
 
 // Table is a 4-level radix page table for one address space.
 type Table struct {
@@ -45,7 +56,7 @@ func (t *Table) Clone() *Table {
 }
 
 func cloneNode(n *node) *node {
-	c := &node{ptes: n.ptes, leaf: n.leaf}
+	c := &node{ptes: n.ptes, present: n.present, leaf: n.leaf}
 	for i, child := range n.children {
 		if child != nil {
 			c.children[i] = cloneNode(child)
@@ -73,18 +84,29 @@ func (t *Table) leafFor(va memlayout.VA, create bool) *node {
 	return n
 }
 
+// set stores pte into slot idx of leaf n, keeping the leaf's present
+// bitmap and the table's populated count in step with pte.Present.
+func (t *Table) set(n *node, idx int, pte PTE) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	was := n.present[w]&bit != 0
+	switch {
+	case pte.Present && !was:
+		n.present[w] |= bit
+		t.populated++
+	case !pte.Present && was:
+		n.present[w] &^= bit
+		t.populated--
+	}
+	n.ptes[idx] = pte
+}
+
 // Map installs a translation for the 4 KB page containing va.
 func (t *Table) Map(va memlayout.VA, pa memlayout.PA, writable bool) {
-	n := t.leafFor(va, true)
-	idx := memlayout.Index(va, 0)
-	if !n.ptes[idx].Present {
-		t.populated++
-	}
-	n.ptes[idx] = PTE{
+	t.set(t.leafFor(va, true), memlayout.Index(va, 0), PTE{
 		PFN:      uint64(pa) >> memlayout.PageShift,
 		Present:  true,
 		Writable: writable,
-	}
+	})
 }
 
 // Unmap removes the translation for the page containing va, reporting
@@ -98,8 +120,7 @@ func (t *Table) Unmap(va memlayout.VA) bool {
 	if !n.ptes[idx].Present {
 		return false
 	}
-	n.ptes[idx] = PTE{}
-	t.populated--
+	t.set(n, idx, PTE{})
 	return true
 }
 
@@ -161,41 +182,87 @@ func (t *Table) PopulatedPages(r memlayout.Region) int {
 }
 
 // ForEachPopulated invokes fn for every present PTE whose page lies within
-// region, passing the page base VA and a mutable PTE pointer.
+// region, in ascending VA order, passing the page base VA and a mutable
+// PTE pointer. fn may rewrite any field but Present.
 func (t *Table) ForEachPopulated(r memlayout.Region, fn func(memlayout.VA, *PTE)) {
-	if r.Size == 0 {
+	if r.Size == 0 || uint64(r.Base) > ^uint64(0)-(memlayout.PageSize-1) {
 		return
 	}
-	t.walkRange(t.root, memlayout.NumLevels-1, 0, r, fn)
+	// Pages whose base lies in r: round the start up, the end down.
+	lo := memlayout.PageNum(r.Base + memlayout.PageSize - 1)
+	hi := memlayout.PageNum(r.End() - 1)
+	t.walkPages(lo, hi, func(vpn uint64, pte *PTE) bool {
+		fn(memlayout.VA(vpn<<memlayout.PageShift), pte)
+		return true
+	})
 }
 
-func (t *Table) walkRange(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn func(memlayout.VA, *PTE)) {
-	span := memlayout.LevelSize(lvl)
-	lo, hi := 0, memlayout.RadixFanout-1
-	// Narrow the slot range to the slots overlapping r.
-	if r.Base > base {
-		lo = int((uint64(r.Base) - uint64(base)) / span)
-	}
-	last := uint64(r.End()) - 1
-	if memlayout.VA(last) >= base {
-		off := last - uint64(base)
-		if idx := off / span; idx < memlayout.RadixFanout {
-			hi = int(idx)
+// AppendPresentVPNs appends to dst, in ascending order, the page number of
+// every present page numbered lo..hi (inclusive). It gives up once more
+// than limit pages would be listed, returning ok=false; dst then holds a
+// truncated prefix. This is the page-driven half of a TLB shootdown: a
+// sparse range is listed in time proportional to its populated pages.
+func (t *Table) AppendPresentVPNs(dst []uint64, lo, hi uint64, limit int) (_ []uint64, ok bool) {
+	start := len(dst)
+	ok = t.walkPages(lo, hi, func(vpn uint64, _ *PTE) bool {
+		if len(dst)-start == limit {
+			return false
 		}
+		dst = append(dst, vpn)
+		return true
+	})
+	return dst, ok
+}
+
+// walkPages visits every present PTE of the pages numbered lo..hi in
+// ascending order, stopping early when fn returns false. It reports
+// whether the walk ran to completion. Pages at or above MaxVPN are never
+// visited.
+func (t *Table) walkPages(lo, hi uint64, fn func(vpn uint64, pte *PTE) bool) bool {
+	if hi >= MaxVPN {
+		hi = MaxVPN - 1
 	}
-	for i := lo; i <= hi; i++ {
-		slotBase := base + memlayout.VA(uint64(i)*span)
-		if lvl == 0 {
-			pte := &n.ptes[i]
-			if pte.Present && r.Contains(slotBase) {
-				fn(slotBase, pte)
+	if lo > hi {
+		return true
+	}
+	return walkRange(t.root, memlayout.NumLevels-1, 0, lo, hi, fn)
+}
+
+// walkRange walks the level-lvl node n, whose first page is first, over
+// the pages lo..hi that overlap it.
+func walkRange(n *node, lvl int, first, lo, hi uint64, fn func(uint64, *PTE) bool) bool {
+	shift := uint(lvl * memlayout.RadixBits) // a slot spans 1<<shift pages
+	i0, i1 := 0, memlayout.RadixFanout-1
+	if lo > first {
+		i0 = int((lo - first) >> shift)
+	}
+	if idx := (hi - first) >> shift; idx < memlayout.RadixFanout {
+		i1 = int(idx)
+	}
+	if lvl == 0 {
+		for w := i0 >> 6; w <= i1>>6; w++ {
+			set := n.present[w]
+			if w == i0>>6 {
+				set &= ^uint64(0) << uint(i0&63)
 			}
-			continue
+			if w == i1>>6 {
+				set &= ^uint64(0) >> uint(63-i1&63)
+			}
+			for ; set != 0; set &= set - 1 {
+				i := w<<6 | bits.TrailingZeros64(set)
+				if !fn(first+uint64(i), &n.ptes[i]) {
+					return false
+				}
+			}
 		}
-		child := n.children[i]
-		if child == nil {
-			continue
-		}
-		t.walkRange(child, lvl-1, slotBase, r, fn)
+		return true
 	}
+	for i := i0; i <= i1; i++ {
+		if child := n.children[i]; child != nil {
+			if !walkRange(child, lvl-1, first+uint64(i)<<shift, lo, hi, fn) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -2,9 +2,11 @@ package pagetable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"domainvirt/internal/bincodec"
 	"domainvirt/internal/memlayout"
 )
 
@@ -139,5 +141,136 @@ func TestForEachPopulatedRangeExactness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanPopulated is the slot-scanning walk ForEachPopulated ran before the
+// present bitmaps, kept verbatim as the reference: it tests Present on
+// every slot of every leaf the region overlaps.
+func scanPopulated(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn func(memlayout.VA, *PTE)) {
+	span := memlayout.LevelSize(lvl)
+	lo, hi := 0, memlayout.RadixFanout-1
+	if r.Base > base {
+		lo = int((uint64(r.Base) - uint64(base)) / span)
+	}
+	last := uint64(r.End()) - 1
+	if memlayout.VA(last) >= base {
+		off := last - uint64(base)
+		if idx := off / span; idx < memlayout.RadixFanout {
+			hi = int(idx)
+		}
+	}
+	for i := lo; i <= hi; i++ {
+		slotBase := base + memlayout.VA(uint64(i)*span)
+		if lvl == 0 {
+			pte := &n.ptes[i]
+			if pte.Present && r.Contains(slotBase) {
+				fn(slotBase, pte)
+			}
+			continue
+		}
+		child := n.children[i]
+		if child == nil {
+			continue
+		}
+		scanPopulated(child, lvl-1, slotBase, r, fn)
+	}
+}
+
+// checkBitmaps verifies every leaf's present bitmap against its PTEs and
+// the populated count against the bitmaps.
+func checkBitmaps(t *testing.T, pt *Table) {
+	t.Helper()
+	var total uint64
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf {
+			for i := range n.ptes {
+				set := n.present[i>>6]&(1<<(i&63)) != 0
+				if set != n.ptes[i].Present {
+					t.Fatalf("leaf slot %d: bitmap %v, PTE present %v", i, set, n.ptes[i].Present)
+				}
+				if set {
+					total++
+				}
+			}
+			return
+		}
+		for _, c := range n.children {
+			if c != nil {
+				walk(c)
+			}
+		}
+	}
+	walk(pt.root)
+	if total != pt.Populated() {
+		t.Fatalf("Populated = %d, bitmaps hold %d", pt.Populated(), total)
+	}
+}
+
+// TestForEachPopulatedMatchesScan is the differential referee for the
+// present bitmaps: after random Map/Unmap/Clone/AppendTo→DecodeTable
+// sequences, ForEachPopulated (and AppendPresentVPNs) must visit exactly
+// the pages the slot scan visits, in the same order.
+func TestForEachPopulatedMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pt := New()
+		// Two 2 MB leaves' worth of pages straddling a leaf boundary, plus
+		// a far cluster under another top-level slot.
+		bases := []uint64{0x4000_0000_0000 - 2<<20 + 0x1000, 0x7f00_0000_0000}
+		randVA := func() memlayout.VA {
+			return memlayout.VA(bases[rng.Intn(len(bases))] + uint64(rng.Intn(1024))*memlayout.PageSize)
+		}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(20); {
+			case op < 10:
+				pt.Map(randVA(), memlayout.PA(rng.Intn(1<<20))<<memlayout.PageShift, rng.Intn(2) == 0)
+			case op < 15:
+				pt.Unmap(randVA())
+			case op < 16:
+				pt.SetKey(memlayout.Region{Base: randVA(), Size: uint64(rng.Intn(64)) * memlayout.PageSize}, uint8(rng.Intn(16)))
+			case op < 18:
+				pt = pt.Clone()
+			default:
+				dec, err := DecodeTable(bincodec.NewReader(pt.AppendTo(nil)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pt = dec
+			}
+			checkBitmaps(t, pt)
+
+			r := memlayout.Region{Base: randVA() + memlayout.VA(rng.Intn(memlayout.PageSize)), Size: uint64(rng.Intn(1200 * memlayout.PageSize))}
+			var got, want []memlayout.VA
+			var gotKeys, wantKeys []uint8
+			pt.ForEachPopulated(r, func(va memlayout.VA, pte *PTE) {
+				got = append(got, va)
+				gotKeys = append(gotKeys, pte.PKey)
+			})
+			if r.Size > 0 {
+				scanPopulated(pt.root, memlayout.NumLevels-1, 0, r, func(va memlayout.VA, pte *PTE) {
+					want = append(want, va)
+					wantKeys = append(wantKeys, pte.PKey)
+				})
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotKeys, wantKeys) {
+				t.Fatalf("seed %d step %d %s: ForEachPopulated visited %d pages, scan %d", seed, step, r, len(got), len(want))
+			}
+
+			// The page-number lister covers the pages r touches.
+			lo, hi := memlayout.PageNum(r.Base), memlayout.PageNum(r.End()-1)
+			var wantVPNs []uint64
+			scanPopulated(pt.root, memlayout.NumLevels-1, 0, memlayout.Region{Base: memlayout.VA(lo << memlayout.PageShift), Size: (hi - lo + 1) << memlayout.PageShift},
+				func(va memlayout.VA, _ *PTE) { wantVPNs = append(wantVPNs, memlayout.PageNum(va)) })
+			limit := rng.Intn(len(wantVPNs) + 2)
+			gotVPNs, ok := pt.AppendPresentVPNs(nil, lo, hi, limit)
+			if ok != (len(wantVPNs) <= limit) {
+				t.Fatalf("seed %d step %d: AppendPresentVPNs(limit %d) ok=%v for %d pages", seed, step, limit, ok, len(wantVPNs))
+			}
+			if n := len(gotVPNs); n > limit || (ok && n != len(wantVPNs)) || (n > 0 && !reflect.DeepEqual(gotVPNs, wantVPNs[:n])) {
+				t.Fatalf("seed %d step %d: AppendPresentVPNs = %v, want prefix of %v", seed, step, gotVPNs, wantVPNs)
+			}
+		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +135,56 @@ func TestSessionLifecycle(t *testing.T) {
 			}
 			if srv.SessionCount() != 1 {
 				t.Errorf("session count %d, want 1", srv.SessionCount())
+			}
+		})
+	}
+}
+
+// TestTxOverCorruptLogHeaderAnswersErr is the regression test for a
+// client overwriting its own pool's log-area pointer (header bytes
+// 40–55) and then committing a transaction: the daemon must answer a
+// typed ERR instead of panicking, and keep serving every session.
+func TestTxOverCorruptLogHeaderAnswersErr(t *testing.T) {
+	_, addr := startTestServer(t, Options{Engine: sim.SchemeDomainVirt})
+	headers := map[string][]byte{
+		"wild": bytes.Repeat([]byte{0xff}, 16),
+		// log at 0xffffffff, 8 bytes long: in the uint32 offset range,
+		// past the pool's end.
+		"past end": {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for name, hdr := range headers {
+		t.Run(name, func(t *testing.T) {
+			cl := dialT(t, addr)
+			if err := cl.Hello("mallory"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Open("mallory-"+name, 512<<10); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Attach(true); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Write(40, hdr); err != nil {
+				t.Fatal(err)
+			}
+			err := cl.TxCommit([]TxWrite{{Off: 300 << 10, Data: []byte("tx")}})
+			wantCode(t, err, ErrTx)
+			// The same session and a fresh one both keep working.
+			if got, err := cl.Read(40, uint32(len(hdr))); err != nil || !bytes.Equal(got, hdr) {
+				t.Fatalf("read after rejected tx: %q, %v", got, err)
+			}
+			other := dialT(t, addr)
+			if err := other.Hello("alice"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.Open("alice-"+name, 512<<10); err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Attach(true); err != nil {
+				t.Fatal(err)
+			}
+			if err := other.TxCommit([]TxWrite{{Off: 300 << 10, Data: []byte("ok")}}); err != nil {
+				t.Fatalf("healthy session tx after the rejected one: %v", err)
 			}
 		})
 	}

@@ -190,3 +190,70 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 		}
 	}
 }
+
+// poolRegion returns the 8 MiB attach region of pool d, the Fig 6 PMO
+// size.
+func poolRegion(d core.DomainID) memlayout.Region {
+	return memlayout.Region{Base: memlayout.VA(0x4000_0000_0000 + uint64(d)<<23), Size: 8 << 20}
+}
+
+// pools1024Machine builds the Fig 6 shape at 1024 PMOs: 1024 attached
+// 8 MiB pools with two touched pages each, so the page table is sparse
+// and both TLB levels are full.
+func pools1024Machine(tb testing.TB) *sim.Machine {
+	tb.Helper()
+	m := sim.NewMachine(sim.DefaultConfig(), sim.SchemeLowerbound)
+	for d := core.DomainID(1); d <= 1024; d++ {
+		r := poolRegion(d)
+		if err := m.Attach(d, r, core.PermRW); err != nil {
+			tb.Fatal(err)
+		}
+		m.Access(1, r.Base, 8, true)
+		m.Access(1, r.Base+memlayout.PageSize, 8, true)
+	}
+	return m
+}
+
+// BenchmarkShootdown1024PMO measures one TLB shootdown of an 8 MiB pool
+// on the 1024-pool machine, plus the two refills that keep the TLBs
+// full: the libmpk key-eviction shape that dominates a cold Fig 6.
+func BenchmarkShootdown1024PMO(b *testing.B) {
+	m := pools1024Machine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := poolRegion(core.DomainID(1 + i%1024))
+		m.FlushTLBRangeAll(r)
+		m.Access(1, r.Base, 8, false)
+		m.Access(1, r.Base+memlayout.PageSize, 8, false)
+	}
+}
+
+// BenchmarkSetPTEKeys8MiB measures a pkey_mprotect-style key rewrite of
+// one sparse 8 MiB pool (two present pages) on the 1024-pool machine.
+func BenchmarkSetPTEKeys8MiB(b *testing.B) {
+	m := pools1024Machine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.SetPTEKeys(poolRegion(core.DomainID(1+i%1024)), uint8(i&15))
+	}
+}
+
+// BenchmarkAttach1024 measures attaching 1024 8 MiB pools to a fresh
+// machine (one op is all 1024 attaches), which maintains the sorted span
+// index demand paging searches.
+func BenchmarkAttach1024(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := sim.NewMachine(cfg, sim.SchemeLowerbound)
+		b.StartTimer()
+		for d := core.DomainID(1); d <= 1024; d++ {
+			if err := m.Attach(d, poolRegion(d), core.PermRW); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -35,6 +35,11 @@ var (
 	// ErrSnapshotVersion marks an intact snapshot written by a different
 	// codec version.
 	ErrSnapshotVersion = errors.New("sim: snapshot codec version mismatch")
+	// ErrSnapshotInconsistent marks a snapshot whose parts contradict an
+	// invariant a live machine keeps: a TLB entry for a page with no
+	// present PTE, or a span index that is not the sorted image of the
+	// attach table.
+	ErrSnapshotInconsistent = errors.New("sim: snapshot state inconsistent")
 )
 
 // EncodeSnapshot serializes s into the versioned, checksummed binary
@@ -280,17 +285,66 @@ func ResealSnapshotVersion(data []byte, v uint32) []byte {
 }
 
 // RestoreSafe is Restore for snapshots of untrusted provenance (a disk
-// store another process wrote): a geometry or scheme mismatch — which
+// store another process wrote). A snapshot that breaks an invariant the
+// machine's fast paths rely on is rejected with ErrSnapshotInconsistent
+// before anything is overwritten. A geometry or scheme mismatch — which
 // Restore reports by panicking, as it indicates a caller bug on the
 // in-memory path — comes back as an error, with the machine owed a
 // rebuild by the caller (its state may be partially overwritten).
 func (m *Machine) RestoreSafe(s *Snapshot) (err error) {
+	if err := s.checkConsistent(); err != nil {
+		return err
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("sim: restore rejected: %v", p)
 		}
 	}()
 	m.Restore(s)
+	return nil
+}
+
+// checkConsistent verifies the cross-part invariants a live machine
+// keeps and a decoded snapshot could break:
+//   - every valid TLB entry caches a present page, which the page-driven
+//     shootdown in FlushTLBRangeAll relies on (entries at or above
+//     pagetable.MaxVPN are exempt: that path never probes for them);
+//   - the span index is the attach table's spans in spanBefore order,
+//     which Attach and Detach maintain incrementally.
+func (s *Snapshot) checkConsistent() error {
+	for i := range s.cores {
+		for lvl, st := range [2]*tlb.State{&s.cores[i].l1, &s.cores[i].l2} {
+			var bad uint64
+			ok := st.ValidVPNs(func(vpn uint64) bool {
+				if vpn >= pagetable.MaxVPN {
+					return true
+				}
+				if _, present := s.pt.Lookup(memlayout.VA(vpn << memlayout.PageShift)); present {
+					return true
+				}
+				bad = vpn
+				return false
+			})
+			if !ok {
+				return fmt.Errorf("%w: core %d L%d TLB caches vpn %#x, which has no present PTE",
+					ErrSnapshotInconsistent, i, lvl+1, bad)
+			}
+		}
+	}
+	if len(s.spans) != len(s.domains) {
+		return fmt.Errorf("%w: %d spans for %d attached domains", ErrSnapshotInconsistent, len(s.spans), len(s.domains))
+	}
+	for i := 1; i < len(s.spans); i++ {
+		if !spanBefore(s.spans[i-1], s.spans[i]) {
+			return fmt.Errorf("%w: span index out of order at %d", ErrSnapshotInconsistent, i)
+		}
+	}
+	for d, di := range s.domains {
+		sp := spanOf(di)
+		if i := spanIndex(s.spans, sp); i == len(s.spans) || s.spans[i] != sp {
+			return fmt.Errorf("%w: domain %d has no span", ErrSnapshotInconsistent, d)
+		}
+	}
 	return nil
 }
 

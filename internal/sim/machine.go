@@ -137,7 +137,7 @@ type Machine struct {
 	ctr stats.Counters
 
 	domains   map[core.DomainID]domainInfo
-	spans     []domSpan // sorted attach regions backing demandMap
+	spans     []domSpan // attach regions sorted by spanBefore, backing demandMap
 	inspector *core.Inspector
 	affinity  map[core.ThreadID]int
 
@@ -177,6 +177,13 @@ type Machine struct {
 	faults        []FaultRecord
 	faultsDropped uint64
 
+	// probeMax bounds the page-driven shootdown: a range with at most
+	// this many present pages is invalidated by per-page TLB probes,
+	// a denser one by the full tlb.FlushRange scan. flushVPNs is the
+	// reused buffer the present pages are listed into.
+	probeMax  int
+	flushVPNs []uint64
+
 	// rec is the optional observability recorder; recNext is the retired
 	// count at which the next epoch sample fires (MaxUint64 when no
 	// sampling is due). Every hook is guarded by a rec nil check, so an
@@ -197,6 +204,46 @@ type domainInfo struct {
 type domSpan struct {
 	base, end memlayout.VA
 	writable  bool
+}
+
+// spanOf returns the span-index entry of an attached region.
+func spanOf(di domainInfo) domSpan {
+	return domSpan{base: di.region.Base, end: di.region.End(), writable: di.perm.CanWrite()}
+}
+
+// spanBefore is the total order of the span index: by base, then end,
+// then read-only before writable.
+func spanBefore(a, b domSpan) bool {
+	if a.base != b.base {
+		return a.base < b.base
+	}
+	if a.end != b.end {
+		return a.end < b.end
+	}
+	return !a.writable && b.writable
+}
+
+// spanIndex returns the position of the first span in spans not ordered
+// before sp: where sp is, or would be inserted.
+func spanIndex(spans []domSpan, sp domSpan) int {
+	return sort.Search(len(spans), func(i int) bool { return !spanBefore(spans[i], sp) })
+}
+
+// insertSpan adds the span of di to the sorted index.
+func (m *Machine) insertSpan(di domainInfo) {
+	sp := spanOf(di)
+	i := spanIndex(m.spans, sp)
+	m.spans = append(m.spans, domSpan{})
+	copy(m.spans[i+1:], m.spans[i:])
+	m.spans[i] = sp
+}
+
+// removeSpan deletes the span of di from the sorted index.
+func (m *Machine) removeSpan(di domainInfo) {
+	sp := spanOf(di)
+	if i := spanIndex(m.spans, sp); i < len(m.spans) && m.spans[i] == sp {
+		m.spans = append(m.spans[:i], m.spans[i+1:]...)
+	}
 }
 
 // NewMachine builds a machine with the given scheme's engine.
@@ -225,6 +272,8 @@ func NewMachineWithEngine(cfg Config, eng core.Engine) *Machine {
 			debt:  tlb.NewDebt(),
 		})
 	}
+	m.probeMax = cfg.L2TLB.Entries / cfg.L2TLB.Ways // the L2 set count
+	m.flushVPNs = make([]uint64, 0, m.probeMax)
 	m.mutGen = 1 // l0Slot.gen zero value never matches
 	if den := m.cfg.CPIDen; den > 0 && den&(den-1) == 0 {
 		m.cpiPow2 = true
@@ -672,9 +721,9 @@ func (m *Machine) finishAccess(c *coreState, th core.ThreadID, va memlayout.VA, 
 // demandMap allocates and maps a frame for the first touch of a page.
 // Pages inside an attached PMO region are NVM-backed with the attach
 // permission; everything else is writable DRAM. The attach regions are
-// held in a sorted span index (rebuilt on the rare Attach/Detach), so
-// the lookup is a binary search instead of a linear scan over every
-// live domain.
+// held in a sorted span index (kept sorted by Attach and Detach), so the
+// lookup is a binary search instead of a linear scan over every live
+// domain.
 func (m *Machine) demandMap(va memlayout.VA) pagetable.PTE {
 	kind := mem.DRAM
 	writable := true
@@ -687,19 +736,6 @@ func (m *Machine) demandMap(va memlayout.VA) pagetable.PTE {
 	m.pt.Map(memlayout.PageBase(va), pa, writable)
 	pte, _ := m.pt.Lookup(va)
 	return pte
-}
-
-// rebuildSpans regenerates the sorted span index from the domain map.
-func (m *Machine) rebuildSpans() {
-	m.spans = m.spans[:0]
-	for _, di := range m.domains {
-		m.spans = append(m.spans, domSpan{
-			base:     di.region.Base,
-			end:      di.region.End(),
-			writable: di.perm.CanWrite(),
-		})
-	}
-	sort.Slice(m.spans, func(i, j int) bool { return m.spans[i].base < m.spans[j].base })
 }
 
 // Fetch implements trace.Sink: one instruction fetch. Domain permissions
@@ -777,8 +813,12 @@ func (m *Machine) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) er
 		return err
 	}
 	m.FlushTLBRangeAll(r)
-	m.domains[d] = domainInfo{region: r, perm: perm}
-	m.rebuildSpans()
+	if old, ok := m.domains[d]; ok {
+		m.removeSpan(old)
+	}
+	di := domainInfo{region: r, perm: perm}
+	m.domains[d] = di
+	m.insertSpan(di)
 	m.bumpGen()
 	return nil
 }
@@ -786,8 +826,10 @@ func (m *Machine) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) er
 // Detach implements trace.Sink.
 func (m *Machine) Detach(d core.DomainID) {
 	m.engine.Detach(d)
-	delete(m.domains, d)
-	m.rebuildSpans()
+	if di, ok := m.domains[d]; ok {
+		m.removeSpan(di)
+		delete(m.domains, d)
+	}
 	m.bumpGen()
 }
 
@@ -828,13 +870,38 @@ func (m *Machine) FaultsDropped() uint64 { return m.faultsDropped }
 func (m *Machine) NumCores() int { return len(m.cores) }
 
 // FlushTLBRangeAll implements core.Hooks: the TLB shootdown primitive.
+//
+// Every valid TLB entry maps a present page (fills follow demandMap and
+// nothing unmaps), so a range's entries can only sit at its present
+// pages. A sparse range is therefore invalidated by probing each core's
+// TLBs for just those pages; one with more than probeMax present pages
+// (or with no radix-resolvable page list) takes the full FlushRange scan.
+// Both give the same flushed counts, owed pages, and survivors.
 func (m *Machine) FlushTLBRangeAll(r memlayout.Region) int {
 	m.bumpGen()
+	vpns, probe := m.presentVPNs(r)
 	total := 0
 	for _, c := range m.cores {
-		owe := func(vpn uint64) { c.debt.Owe(vpn) }
-		n1 := c.l1tlb.FlushRange(r, owe)
-		n2 := c.l2tlb.FlushRange(r, owe)
+		var n1, n2 int
+		if probe {
+			for _, vpn := range vpns {
+				in1 := c.l1tlb.Invalidate(vpn)
+				in2 := c.l2tlb.Invalidate(vpn)
+				if in1 {
+					n1++
+				}
+				if in2 {
+					n2++
+				}
+				if in1 || in2 {
+					c.debt.Owe(vpn)
+				}
+			}
+		} else {
+			owe := func(vpn uint64) { c.debt.Owe(vpn) }
+			n1 = c.l1tlb.FlushRange(r, owe)
+			n2 = c.l2tlb.FlushRange(r, owe)
+		}
 		// L1 entries are a subset of L2's working set; count distinct
 		// pages as the L2 flush count plus any L1-only stragglers.
 		n := n2
@@ -845,6 +912,22 @@ func (m *Machine) FlushTLBRangeAll(r memlayout.Region) int {
 	}
 	m.ctr.TLBFlushed += uint64(total)
 	return total
+}
+
+// presentVPNs lists the present pages of the pages r touches (the page
+// range FlushRange covers) into the reused scratch buffer. ok is false
+// when the list would exceed probeMax or r is not a range the radix
+// resolves without aliasing; the caller then falls back to the scan.
+func (m *Machine) presentVPNs(r memlayout.Region) (vpns []uint64, ok bool) {
+	if r.Size == 0 || r.End() < r.Base {
+		return nil, false
+	}
+	hi := memlayout.PageNum(r.End() - 1)
+	if hi >= pagetable.MaxVPN {
+		return nil, false
+	}
+	m.flushVPNs, ok = m.pt.AppendPresentVPNs(m.flushVPNs[:0], memlayout.PageNum(r.Base), hi, m.probeMax)
+	return m.flushVPNs, ok
 }
 
 // PopulatedPages implements core.Hooks.

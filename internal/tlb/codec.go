@@ -61,3 +61,16 @@ func DecodeState(r *bincodec.Reader) (State, error) {
 // Entries returns the number of TLB entries the state was captured from,
 // for pre-restore geometry validation.
 func (s State) Entries() int { return len(s.entries) }
+
+// ValidVPNs calls fn with the VPN of every valid entry in position order,
+// stopping at the first false return; it reports whether every call
+// returned true. Restore-time validation uses it to check decoded entries
+// against the page table they claim to cache.
+func (s State) ValidVPNs(fn func(vpn uint64) bool) bool {
+	for i := range s.entries {
+		if s.entries[i].Valid && !fn(s.entries[i].VPN) {
+			return false
+		}
+	}
+	return true
+}

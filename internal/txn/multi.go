@@ -40,6 +40,7 @@ const multiEntriesOff = 24
 // MultiTx is a durable transaction spanning several pools.
 type MultiTx struct {
 	coord *pmo.Pool
+	clo   uint32         // coordinator log-area offset, checked at BeginMulti
 	parts map[uint32]*Tx // per-pool single-pool transactions
 	pools map[uint32]*pmo.Pool
 	crash CrashPoint
@@ -67,24 +68,24 @@ type MultiTx struct {
 // pool written must be enlisted via Write*/pool registration on first
 // use; the coordinator itself may also be written.
 func BeginMulti(coord *pmo.Pool) (*MultiTx, error) {
-	if _, size := coord.LogArea(); size == 0 {
+	clo, size, err := logArea(coord)
+	if err != nil {
+		return nil, err
+	}
+	if size == 0 {
 		return nil, fmt.Errorf("txn: coordinator pool %q has no log area", coord.Name())
 	}
-	switch coord.ReadU64(uint32(coordLogOff(coord) + logStateOff)) {
+	switch coord.ReadU64(uint32(clo + logStateOff)) {
 	case logClean, logActive:
 	default:
 		return nil, fmt.Errorf("txn: coordinator pool %q has an unrecovered log", coord.Name())
 	}
 	return &MultiTx{
 		coord: coord,
+		clo:   uint32(clo),
 		parts: make(map[uint32]*Tx),
 		pools: make(map[uint32]*pmo.Pool),
 	}, nil
-}
-
-func coordLogOff(p *pmo.Pool) uint64 {
-	off, _ := p.LogArea()
-	return off
 }
 
 // SetCrashPoint arms crash injection for Commit.
@@ -200,7 +201,7 @@ func (m *MultiTx) Commit() error {
 	// must be durable strictly before the mark, or a crash can leave the
 	// committed mark over a stale count from an earlier transaction and
 	// recovery replays the coordinator's old log.
-	clo := uint32(coordLogOff(m.coord))
+	clo := m.clo
 	m.coord.WriteU64(clo+logCountOff, 0)
 	if !m.UnsafeNoDecisionFence {
 		m.coord.Fence() // persist the zeroed decision count
@@ -247,9 +248,9 @@ func (m *MultiTx) Abort() {
 // pools by ID (typically store.ByID). It returns whether pool's log was
 // redone.
 func RecoverMulti(pool *pmo.Pool, lookup func(uint32) (*pmo.Pool, bool)) (bool, error) {
-	logOff, logSize := pool.LogArea()
-	if logSize == 0 {
-		return false, nil
+	logOff, logSize, err := logArea(pool)
+	if err != nil || logSize == 0 {
+		return false, err
 	}
 	lo := uint32(logOff)
 	if pool.ReadU64(lo+logStateOff) != logPrepared {
@@ -262,7 +263,11 @@ func RecoverMulti(pool *pmo.Pool, lookup func(uint32) (*pmo.Pool, bool)) (bool, 
 	if !ok {
 		return false, fmt.Errorf("txn: pool %q prepared by unknown coordinator %d", pool.Name(), coordID)
 	}
-	committed := coord.ReadU64(uint32(coordLogOff(coord))+logStateOff) == logCommitted
+	clo, csize, err := logArea(coord)
+	if err != nil {
+		return false, err
+	}
+	committed := csize > 0 && coord.ReadU64(uint32(clo)+logStateOff) == logCommitted
 	if !committed {
 		// The decision never landed: abort.
 		pool.WriteU64(lo+logStateOff, logClean)

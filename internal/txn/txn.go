@@ -54,6 +54,26 @@ const (
 // ErrCrashed is returned by Commit when an injected crash fires.
 var ErrCrashed = errors.New("txn: injected crash")
 
+// ErrLogArea marks a pool whose header places its log area outside the
+// pool, or makes it too small for a log header. Pools are created with a
+// valid header, so this is a corrupt or client-overwritten header.
+var ErrLogArea = errors.New("txn: pool log area invalid")
+
+// logArea returns pool's log area (size 0: the pool has none), checked
+// against the pool bounds so no log access can index past the pool.
+func logArea(pool *pmo.Pool) (off, size uint64, err error) {
+	off, size = pool.LogArea()
+	if size == 0 {
+		return off, 0, nil
+	}
+	end := off + size
+	if size < multiEntriesOff || end < off || end > pool.Size() || end > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("%w: pool %q header places it at [%#x,%#x), pool size %#x",
+			ErrLogArea, pool.Name(), off, end, pool.Size())
+	}
+	return off, size, nil
+}
+
 // Tx is one durable transaction on a single pool.
 type Tx struct {
 	pool    *pmo.Pool
@@ -83,7 +103,10 @@ type Tx struct {
 // Begin starts a transaction on pool. The pool must have a log area and
 // must not have a committed-but-unapplied log (run Recover first).
 func Begin(pool *pmo.Pool) (*Tx, error) {
-	logOff, logSize := pool.LogArea()
+	logOff, logSize, err := logArea(pool)
+	if err != nil {
+		return nil, err
+	}
 	if logSize == 0 {
 		return nil, fmt.Errorf("txn: pool %q has no log area", pool.Name())
 	}
@@ -220,9 +243,9 @@ func (t *Tx) Abort() {
 // Recover completes or discards an interrupted transaction on pool. It
 // returns whether a committed transaction was redone.
 func Recover(pool *pmo.Pool) (redone bool, err error) {
-	logOff, logSize := pool.LogArea()
-	if logSize == 0 {
-		return false, nil
+	logOff, logSize, err := logArea(pool)
+	if err != nil || logSize == 0 {
+		return false, err
 	}
 	lo := uint32(logOff)
 	switch pool.ReadU64(lo + logStateOff) {
@@ -292,10 +315,10 @@ const (
 )
 
 // LogStateOf reads pool's current log-state word (StateClean if the pool
-// has no log area).
+// has no usable log area; Recover reports an invalid one).
 func LogStateOf(pool *pmo.Pool) uint64 {
-	logOff, logSize := pool.LogArea()
-	if logSize == 0 {
+	logOff, logSize, err := logArea(pool)
+	if err != nil || logSize == 0 {
 		return StateClean
 	}
 	return pool.ReadU64(uint32(logOff + logStateOff))

@@ -43,6 +43,14 @@ go test -race ./internal/persist/ ./internal/txn/ ./internal/crashconform/
 go run ./cmd/pmosim -crashconform -crashconform-workloads 40
 go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
 
+# Host-time fast paths: the page-driven TLB shootdown, the present-page
+# bitmaps, and the sorted span index each have a differential test
+# against the slot-scanning code they replaced, run repeatedly under the
+# race detector, plus a short live fuzz of shootdown vs. full scan.
+go test -race -count=3 -run 'TestShootdownMatchesScan|TestSpansMatchRebuild' ./internal/sim/
+go test -race -count=3 -run 'TestForEachPopulatedMatchesScan' ./internal/pagetable/
+go test -fuzz FuzzShootdownMatchesScan -fuzztime 5s -run '^$' ./internal/sim/
+
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
 # timing gate is disabled here because a short CI run is too noisy —

@@ -60,6 +60,9 @@ func New(cfg Config) *Cache {
 		panic("cache: invalid geometry")
 	}
 	nsets := blocks / cfg.Ways
+	if cfg.Ways > maxWays {
+		panic("cache: too many ways")
+	}
 	if nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
@@ -148,43 +151,75 @@ func (c *Cache) SetState(block uint64, s State) {
 // TouchPos for the same block, skipping the set rescan.
 func (c *Cache) SetStateAt(idx int, s State) { c.lines[idx].state = s }
 
+// maxWays bounds the associativity so a way index fits the low byte of
+// a replacement key.
+const maxWays = 256
+
+// scan looks block up in the set whose way 0 is at flat index base, in
+// one pass. On a hit it returns the first way holding block; on a miss,
+// the way a fill replaces: the first invalid way, else the least
+// recently used one (ties to the lower way). The replacement choice is
+// the minimum of a per-way key, taken without a data-dependent branch:
+// an invalid way's key is its index, a valid way's is
+// 1<<40 | lru<<8 | way, which sorts above every invalid way.
+func (c *Cache) scan(base int, block uint64) (way int, hit bool) {
+	set := c.lines[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
+	best := ^uint64(0)
+	for w, ln := range set {
+		if ln.tag == block && ln.state != Invalid {
+			return w, true
+		}
+		valid := (uint64(ln.state) + 0xff) >> 8 // 1 iff ln.state != Invalid
+		best = min(best, -valid&(1<<40|uint64(lru[w])<<8)|uint64(w))
+	}
+	return int(best & (maxWays - 1)), false
+}
+
+// replace installs block with state s at flat index i, the way scan
+// chose, returning the line it evicted (if valid) and whether that was
+// dirty (Modified), and stamps it most recently used.
+func (c *Cache) replace(i int, block uint64, s State) (victim uint64, dirty, evicted bool) {
+	if old := c.lines[i]; old.state != Invalid {
+		victim, dirty, evicted = old.tag, old.state == Modified, true
+	}
+	c.lines[i] = line{tag: block, state: s}
+	c.clock++
+	c.lru[i] = c.clock
+	return victim, dirty, evicted
+}
+
 // Fill inserts block with state s, returning the evicted block (if any)
-// and whether it was dirty (Modified).
+// and whether it was dirty (Modified). A block already present is
+// overwritten in place and evicts nothing.
 func (c *Cache) Fill(block uint64, s State) (victim uint64, dirty, evicted bool) {
 	base := c.baseOf(block)
-	set := c.lines[base : base+c.ways]
-	way := -1
-	for w := range set {
-		if set[w].state != Invalid && set[w].tag == block {
-			way = w
-			break
-		}
+	way, hit := c.scan(base, block)
+	if hit {
+		c.lines[base+way].state = s
+		c.clock++
+		c.lru[base+way] = c.clock
+		return 0, false, false
 	}
-	if way < 0 {
-		for w := range set {
-			if set[w].state == Invalid {
-				way = w
-				break
-			}
-		}
+	return c.replace(base+way, block, s)
+}
+
+// TouchOrFill is Touch followed, on a miss, by Fill(block, s), with one
+// scan of the set: a hit refreshes recency and counts a hit exactly as
+// Touch does; a miss counts a miss and fills exactly as Fill does,
+// returning what the fill evicted.
+func (c *Cache) TouchOrFill(block uint64, s State) (hit bool, victim uint64, dirty, evicted bool) {
+	base := c.baseOf(block)
+	way, hit := c.scan(base, block)
+	if hit {
+		c.clock++
+		c.lru[base+way] = c.clock
+		c.hits++
+		return true, 0, false, false
 	}
-	if way < 0 {
-		way = 0
-		oldest := c.lru[base]
-		for w := 1; w < c.ways; w++ {
-			if c.lru[base+w] < oldest {
-				oldest = c.lru[base+w]
-				way = w
-			}
-		}
-		victim = set[way].tag
-		dirty = set[way].state == Modified
-		evicted = true
-	}
-	set[way] = line{tag: block, state: s}
-	c.clock++
-	c.lru[base+way] = c.clock
-	return victim, dirty, evicted
+	c.misses++
+	victim, dirty, evicted = c.replace(base+way, block, s)
+	return false, victim, dirty, evicted
 }
 
 // Stats returns (hits, misses).

@@ -122,10 +122,10 @@ func (h *Hierarchy) Access(core int, pa memlayout.PA, write bool) (uint64, Level
 	}
 
 	level := LevelL2
-	if _, hit := h.l2.Touch(block); !hit {
+	if hit, v, dirty, ev := h.l2.TouchOrFill(block, Exclusive); !hit {
 		lat += h.mem.Access(pa, false)
 		level = LevelMem
-		if v, dirty, ev := h.l2.Fill(block, Exclusive); ev {
+		if ev {
 			// Inclusive hierarchy: back-invalidate L1 copies of the victim.
 			h.backInvalidate(v)
 			if dirty {

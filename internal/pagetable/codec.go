@@ -21,12 +21,21 @@ func (t *Table) AppendTo(b []byte) []byte {
 		span := memlayout.LevelSize(lvl)
 		for i := 0; i < memlayout.RadixFanout; i++ {
 			slotBase := base + memlayout.VA(uint64(i)*span)
-			if lvl == 0 {
-				pte := nd.ptes[i]
+			if lvl > 1 {
+				if child := nd.children[i]; child != nil {
+					walk(child, lvl-1, slotBase)
+				}
+				continue
+			}
+			l := nd.leaves[i]
+			if l == nil {
+				continue
+			}
+			for j, pte := range &l.ptes {
 				if pte == (PTE{}) {
 					continue
 				}
-				b = bincodec.U64(b, uint64(slotBase))
+				b = bincodec.U64(b, uint64(slotBase)+uint64(j)*memlayout.PageSize)
 				b = bincodec.U64(b, pte.PFN)
 				var flags uint8
 				if pte.Present {
@@ -38,10 +47,6 @@ func (t *Table) AppendTo(b []byte) []byte {
 				b = bincodec.U8(b, flags)
 				b = bincodec.U8(b, pte.PKey)
 				n++
-				continue
-			}
-			if child := nd.children[i]; child != nil {
-				walk(child, lvl-1, slotBase)
 			}
 		}
 	}

@@ -19,15 +19,21 @@ type PTE struct {
 	PKey     uint8 // 4-bit protection key; 0 is the null (domainless) key
 }
 
-// node is one radix node: either 512 child pointers or 512 leaf PTEs.
-// A leaf also keeps a present bitmap (bit i set iff ptes[i].Present), so
-// range enumeration visits populated slots with TrailingZeros64 instead
-// of testing every slot of a mostly empty region.
+// node is one interior radix node (levels 3 to 1). It holds only child
+// pointers: interior nodes below it at levels 3 and 2, leaves at level 1.
 type node struct {
 	children [memlayout.RadixFanout]*node
-	ptes     [memlayout.RadixFanout]PTE
-	present  [memlayout.RadixFanout / 64]uint64
-	leaf     bool
+	leaves   [memlayout.RadixFanout]*leaf
+}
+
+// leaf is one level-0 radix node: 512 PTEs and a present bitmap (bit i
+// set iff ptes[i].Present), so range enumeration visits populated slots
+// with TrailingZeros64 instead of testing every slot of a mostly empty
+// region. It holds no pointers, so the garbage collector never scans
+// it, and cloning one copies only its 8 KB of PTEs.
+type leaf struct {
+	ptes    [memlayout.RadixFanout]PTE
+	present [memlayout.RadixFanout / 64]uint64
 }
 
 // MaxVPN is one past the highest page number the 4-level radix resolves
@@ -52,41 +58,58 @@ func (t *Table) Populated() uint64 { return t.populated }
 // Clone returns a deep copy of the table: the two share no nodes, so
 // mutations of one are invisible to the other.
 func (t *Table) Clone() *Table {
-	return &Table{root: cloneNode(t.root), populated: t.populated}
+	return &Table{root: cloneNode(t.root, memlayout.NumLevels-1), populated: t.populated}
 }
 
-func cloneNode(n *node) *node {
-	c := &node{ptes: n.ptes, present: n.present, leaf: n.leaf}
+// cloneNode deep-copies the level-lvl interior node n.
+func cloneNode(n *node, lvl int) *node {
+	c := &node{}
+	if lvl == 1 {
+		for i, l := range n.leaves {
+			if l != nil {
+				cl := new(leaf)
+				*cl = *l
+				c.leaves[i] = cl
+			}
+		}
+		return c
+	}
 	for i, child := range n.children {
 		if child != nil {
-			c.children[i] = cloneNode(child)
+			c.children[i] = cloneNode(child, lvl-1)
 		}
 	}
 	return c
 }
 
-// leafFor returns the leaf node covering va, creating intermediate nodes
-// when create is true; otherwise it returns nil if the path is absent.
-func (t *Table) leafFor(va memlayout.VA, create bool) *node {
+// leafFor returns the leaf covering va, creating intermediate nodes when
+// create is true; otherwise it returns nil if the path is absent.
+func (t *Table) leafFor(va memlayout.VA, create bool) *leaf {
 	n := t.root
-	for lvl := memlayout.NumLevels - 1; lvl >= 1; lvl-- {
+	for lvl := memlayout.NumLevels - 1; lvl >= 2; lvl-- {
 		idx := memlayout.Index(va, lvl)
 		next := n.children[idx]
 		if next == nil {
 			if !create {
 				return nil
 			}
-			next = &node{leaf: lvl == 1}
+			next = &node{}
 			n.children[idx] = next
 		}
 		n = next
 	}
-	return n
+	idx := memlayout.Index(va, 1)
+	l := n.leaves[idx]
+	if l == nil && create {
+		l = new(leaf)
+		n.leaves[idx] = l
+	}
+	return l
 }
 
 // set stores pte into slot idx of leaf n, keeping the leaf's present
 // bitmap and the table's populated count in step with pte.Present.
-func (t *Table) set(n *node, idx int, pte PTE) {
+func (t *Table) set(n *leaf, idx int, pte PTE) {
 	w, bit := idx>>6, uint64(1)<<(idx&63)
 	was := n.present[w]&bit != 0
 	switch {
@@ -130,17 +153,20 @@ func (t *Table) Unmap(va memlayout.VA) bool {
 func (t *Table) Walk(va memlayout.VA) (pte PTE, depth int, ok bool) {
 	n := t.root
 	depth = 1
-	for lvl := memlayout.NumLevels - 1; lvl >= 1; lvl-- {
-		idx := memlayout.Index(va, lvl)
-		next := n.children[idx]
+	for lvl := memlayout.NumLevels - 1; lvl >= 2; lvl-- {
+		next := n.children[memlayout.Index(va, lvl)]
 		if next == nil {
 			return PTE{}, depth, false
 		}
 		n = next
 		depth++
 	}
-	pte = n.ptes[memlayout.Index(va, 0)]
-	return pte, depth, pte.Present
+	l := n.leaves[memlayout.Index(va, 1)]
+	if l == nil {
+		return PTE{}, depth, false
+	}
+	pte = l.ptes[memlayout.Index(va, 0)]
+	return pte, depth + 1, pte.Present
 }
 
 // Lookup is Walk without depth accounting.
@@ -228,38 +254,53 @@ func (t *Table) walkPages(lo, hi uint64, fn func(vpn uint64, pte *PTE) bool) boo
 	return walkRange(t.root, memlayout.NumLevels-1, 0, lo, hi, fn)
 }
 
-// walkRange walks the level-lvl node n, whose first page is first, over
-// the pages lo..hi that overlap it.
-func walkRange(n *node, lvl int, first, lo, hi uint64, fn func(uint64, *PTE) bool) bool {
+// slotRange returns the first and last slot of a level-lvl node, whose
+// first page is first, that overlap the pages lo..hi.
+func slotRange(lvl int, first, lo, hi uint64) (i0, i1 int) {
 	shift := uint(lvl * memlayout.RadixBits) // a slot spans 1<<shift pages
-	i0, i1 := 0, memlayout.RadixFanout-1
+	i1 = memlayout.RadixFanout - 1
 	if lo > first {
 		i0 = int((lo - first) >> shift)
 	}
 	if idx := (hi - first) >> shift; idx < memlayout.RadixFanout {
 		i1 = int(idx)
 	}
-	if lvl == 0 {
-		for w := i0 >> 6; w <= i1>>6; w++ {
-			set := n.present[w]
-			if w == i0>>6 {
-				set &= ^uint64(0) << uint(i0&63)
-			}
-			if w == i1>>6 {
-				set &= ^uint64(0) >> uint(63-i1&63)
-			}
-			for ; set != 0; set &= set - 1 {
-				i := w<<6 | bits.TrailingZeros64(set)
-				if !fn(first+uint64(i), &n.ptes[i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	return i0, i1
+}
+
+// walkRange walks the level-lvl interior node n, whose first page is
+// first, over the pages lo..hi that overlap it.
+func walkRange(n *node, lvl int, first, lo, hi uint64, fn func(uint64, *PTE) bool) bool {
+	shift := uint(lvl * memlayout.RadixBits)
+	i0, i1 := slotRange(lvl, first, lo, hi)
 	for i := i0; i <= i1; i++ {
-		if child := n.children[i]; child != nil {
-			if !walkRange(child, lvl-1, first+uint64(i)<<shift, lo, hi, fn) {
+		start := first + uint64(i)<<shift
+		if lvl == 1 {
+			if l := n.leaves[i]; l != nil && !l.walk(start, lo, hi, fn) {
+				return false
+			}
+		} else if child := n.children[i]; child != nil && !walkRange(child, lvl-1, start, lo, hi, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// walk visits the present PTEs of leaf l, whose first page is first,
+// among the pages lo..hi.
+func (l *leaf) walk(first, lo, hi uint64, fn func(uint64, *PTE) bool) bool {
+	i0, i1 := slotRange(0, first, lo, hi)
+	for w := i0 >> 6; w <= i1>>6; w++ {
+		set := l.present[w]
+		if w == i0>>6 {
+			set &= ^uint64(0) << uint(i0&63)
+		}
+		if w == i1>>6 {
+			set &= ^uint64(0) >> uint(63-i1&63)
+		}
+		for ; set != 0; set &= set - 1 {
+			i := w<<6 | bits.TrailingZeros64(set)
+			if !fn(first+uint64(i), &l.ptes[i]) {
 				return false
 			}
 		}

@@ -145,9 +145,10 @@ func TestForEachPopulatedRangeExactness(t *testing.T) {
 }
 
 // scanPopulated is the slot-scanning walk ForEachPopulated ran before the
-// present bitmaps, kept verbatim as the reference: it tests Present on
-// every slot of every leaf the region overlaps.
-func scanPopulated(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn func(memlayout.VA, *PTE)) {
+// present bitmaps, kept as the reference: it tests Present on every slot
+// of every leaf the region overlaps. It walks interior node n at levels
+// 3 to 1 and leaf l at level 0.
+func scanPopulated(n *node, l *leaf, lvl int, base memlayout.VA, r memlayout.Region, fn func(memlayout.VA, *PTE)) {
 	span := memlayout.LevelSize(lvl)
 	lo, hi := 0, memlayout.RadixFanout-1
 	if r.Base > base {
@@ -163,9 +164,15 @@ func scanPopulated(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn f
 	for i := lo; i <= hi; i++ {
 		slotBase := base + memlayout.VA(uint64(i)*span)
 		if lvl == 0 {
-			pte := &n.ptes[i]
+			pte := &l.ptes[i]
 			if pte.Present && r.Contains(slotBase) {
 				fn(slotBase, pte)
+			}
+			continue
+		}
+		if lvl == 1 {
+			if l := n.leaves[i]; l != nil {
+				scanPopulated(nil, l, 0, slotBase, r, fn)
 			}
 			continue
 		}
@@ -173,7 +180,7 @@ func scanPopulated(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn f
 		if child == nil {
 			continue
 		}
-		scanPopulated(child, lvl-1, slotBase, r, fn)
+		scanPopulated(child, nil, lvl-1, slotBase, r, fn)
 	}
 }
 
@@ -182,27 +189,35 @@ func scanPopulated(n *node, lvl int, base memlayout.VA, r memlayout.Region, fn f
 func checkBitmaps(t *testing.T, pt *Table) {
 	t.Helper()
 	var total uint64
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			for i := range n.ptes {
-				set := n.present[i>>6]&(1<<(i&63)) != 0
-				if set != n.ptes[i].Present {
-					t.Fatalf("leaf slot %d: bitmap %v, PTE present %v", i, set, n.ptes[i].Present)
+	var walk func(n *node, lvl int)
+	walk = func(n *node, lvl int) {
+		for _, l := range n.leaves {
+			if l == nil {
+				continue
+			}
+			if lvl != 1 {
+				t.Fatalf("level-%d node holds a leaf", lvl)
+			}
+			for i := range l.ptes {
+				set := l.present[i>>6]&(1<<(i&63)) != 0
+				if set != l.ptes[i].Present {
+					t.Fatalf("leaf slot %d: bitmap %v, PTE present %v", i, set, l.ptes[i].Present)
 				}
 				if set {
 					total++
 				}
 			}
-			return
 		}
 		for _, c := range n.children {
 			if c != nil {
-				walk(c)
+				if lvl == 1 {
+					t.Fatal("level-1 node holds an interior child")
+				}
+				walk(c, lvl-1)
 			}
 		}
 	}
-	walk(pt.root)
+	walk(pt.root, memlayout.NumLevels-1)
 	if total != pt.Populated() {
 		t.Fatalf("Populated = %d, bitmaps hold %d", pt.Populated(), total)
 	}
@@ -231,7 +246,12 @@ func TestForEachPopulatedMatchesScan(t *testing.T) {
 			case op < 16:
 				pt.SetKey(memlayout.Region{Base: randVA(), Size: uint64(rng.Intn(64)) * memlayout.PageSize}, uint8(rng.Intn(16)))
 			case op < 18:
+				// The clone shares no node: mutating the original
+				// afterwards leaves its bitmaps and count consistent.
+				old := pt
 				pt = pt.Clone()
+				old.Map(randVA(), 0, true)
+				old.Unmap(randVA())
 			default:
 				dec, err := DecodeTable(bincodec.NewReader(pt.AppendTo(nil)))
 				if err != nil {
@@ -249,7 +269,7 @@ func TestForEachPopulatedMatchesScan(t *testing.T) {
 				gotKeys = append(gotKeys, pte.PKey)
 			})
 			if r.Size > 0 {
-				scanPopulated(pt.root, memlayout.NumLevels-1, 0, r, func(va memlayout.VA, pte *PTE) {
+				scanPopulated(pt.root, nil, memlayout.NumLevels-1, 0, r, func(va memlayout.VA, pte *PTE) {
 					want = append(want, va)
 					wantKeys = append(wantKeys, pte.PKey)
 				})
@@ -261,7 +281,7 @@ func TestForEachPopulatedMatchesScan(t *testing.T) {
 			// The page-number lister covers the pages r touches.
 			lo, hi := memlayout.PageNum(r.Base), memlayout.PageNum(r.End()-1)
 			var wantVPNs []uint64
-			scanPopulated(pt.root, memlayout.NumLevels-1, 0, memlayout.Region{Base: memlayout.VA(lo << memlayout.PageShift), Size: (hi - lo + 1) << memlayout.PageShift},
+			scanPopulated(pt.root, nil, memlayout.NumLevels-1, 0, memlayout.Region{Base: memlayout.VA(lo << memlayout.PageShift), Size: (hi - lo + 1) << memlayout.PageShift},
 				func(va memlayout.VA, _ *PTE) { wantVPNs = append(wantVPNs, memlayout.PageNum(va)) })
 			limit := rng.Intn(len(wantVPNs) + 2)
 			gotVPNs, ok := pt.AppendPresentVPNs(nil, lo, hi, limit)
@@ -272,5 +292,30 @@ func TestForEachPopulatedMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: AppendPresentVPNs = %v, want prefix of %v", seed, step, gotVPNs, wantVPNs)
 			}
 		}
+	}
+}
+
+// TestLeafHoldsNoPointers pins the property that keeps leaves off the
+// garbage collector's scan list: no field of a leaf, at any depth, is or
+// contains a pointer.
+func TestLeafHoldsNoPointers(t *testing.T) {
+	var check func(typ reflect.Type, path string)
+	check = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: leaves must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			check(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	check(reflect.TypeOf(leaf{}), "leaf")
+	if size := reflect.TypeOf(leaf{}).Size(); size > 8<<10+64 {
+		t.Errorf("leaf is %d bytes, want at most 8 KB of PTEs plus the bitmap", size)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"domainvirt/internal/memlayout"
 )
@@ -73,23 +72,16 @@ func writePool(w io.Writer, p *Pool) error {
 			return err
 		}
 	}
-	idxs := make([]uint64, 0, len(p.frames))
-	for idx := range p.frames {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(idxs))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint64(p.pages.count)); err != nil {
 		return err
 	}
-	for _, idx := range idxs {
-		if err := binary.Write(w, binary.LittleEndian, idx); err != nil {
-			return err
-		}
-		if _, err := w.Write(p.frames[idx][:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	var rec [8 + memlayout.PageSize]byte
+	return p.pages.each(func(idx uint64, f *frame) error {
+		binary.LittleEndian.PutUint64(rec[:8], idx)
+		f.read(0, rec[8:])
+		_, err := w.Write(rec[:])
+		return err
+	})
 }
 
 func loadPoolFile(path string) (*Pool, error) {
@@ -140,7 +132,7 @@ func readPool(r io.Reader) (*Pool, error) {
 		mode:      Mode(mode),
 		owner:     owner,
 		attachKey: attachKey,
-		frames:    make(map[uint64]*[memlayout.PageSize]byte),
+		pages:     newPageDir(size),
 	}
 	var nframes uint64
 	if err := binary.Read(r, binary.LittleEndian, &nframes); err != nil {
@@ -150,19 +142,16 @@ func readPool(r io.Reader) (*Pool, error) {
 	if nframes > maxFrames {
 		return nil, fmt.Errorf("pmo: corrupt pool file: %d frames exceeds pool capacity %d", nframes, maxFrames)
 	}
+	var rec [8 + memlayout.PageSize]byte
 	for i := uint64(0); i < nframes; i++ {
-		var idx uint64
-		if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
+		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, err
 		}
+		idx := binary.LittleEndian.Uint64(rec[:8])
 		if idx >= maxFrames {
 			return nil, fmt.Errorf("pmo: corrupt pool file: frame index %d out of range", idx)
 		}
-		fr := new([memlayout.PageSize]byte)
-		if _, err := io.ReadFull(r, fr[:]); err != nil {
-			return nil, err
-		}
-		p.frames[idx] = fr
+		p.pages.get(idx).write(0, rec[8:])
 	}
 	if p.readU64Raw(hdrMagic) != poolMagic {
 		return nil, fmt.Errorf("pmo: pool %q header corrupt", name)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"domainvirt/internal/memlayout"
 )
@@ -62,16 +63,21 @@ type Pool struct {
 	// the paper's finer-grain attach-key permission scheme.
 	attachKey string
 
-	// mu guards frames, dirty, atts, and writer. Pools may be shared
-	// between address spaces (read-only sharing) and between a mutator
-	// and the store's Sync/List/Snapshot, so the byte store and the
-	// attachment list must be safe under concurrent use.
+	// mu serializes every store to the pool's bytes (and so the order
+	// the persist hook sees them in) and guards dirty, atts, writer and
+	// the hooks. Loads take no lock: they go through the lock-free page
+	// directory and observe concurrent stores at 8-byte granularity.
+	// Whole-pool readers (CopyImage, the pool file writer, Store.Snapshot
+	// and Store.List) hold mu so they never see half of a store.
 	mu sync.Mutex
 	// allocMu serializes allocator read-modify-write sequences (bump
-	// cursor, free-list heads), which span several locked byte accesses.
+	// cursor, free-list heads), which span several byte accesses.
 	allocMu sync.Mutex
 
-	frames map[uint64]*[memlayout.PageSize]byte
+	pages pageDir
+	// primary is atts[0] (nil when unattached), republished under mu on
+	// every attach and detach so the per-access emit reads it lock-free.
+	primary atomic.Pointer[Attachment]
 	// hookStore/hookFence observe the pool's durable-media traffic for
 	// fault-injection testing (see internal/persist). hookStore is called
 	// under p.mu with the raw bytes of every store that reaches the
@@ -91,12 +97,12 @@ type Pool struct {
 
 func newPool(name string, id uint32, size uint64, mode Mode, owner string) *Pool {
 	p := &Pool{
-		name:   name,
-		id:     id,
-		size:   size,
-		mode:   mode,
-		owner:  owner,
-		frames: make(map[uint64]*[memlayout.PageSize]byte),
+		name:  name,
+		id:    id,
+		size:  size,
+		mode:  mode,
+		owner: owner,
+		pages: newPageDir(size),
 	}
 	p.initHeader()
 	return p
@@ -190,6 +196,7 @@ func (p *Pool) reserveAttachment(att *Attachment, attachKey string) error {
 	if att.Perm.CanWrite() {
 		p.writer = att
 	}
+	p.primary.Store(p.atts[0])
 	return nil
 }
 
@@ -206,57 +213,67 @@ func (p *Pool) releaseAttachment(att *Attachment) {
 	if p.writer == att {
 		p.writer = nil
 	}
-}
-
-// frame returns the backing frame for the page containing off, allocating
-// it lazily (persistent memory is zero-initialized on first use).
-// Callers must hold p.mu.
-func (p *Pool) frame(off uint64, create bool) *[memlayout.PageSize]byte {
-	idx := off >> memlayout.PageShift
-	f := p.frames[idx]
-	if f == nil && create {
-		f = new([memlayout.PageSize]byte)
-		p.frames[idx] = f
+	if len(p.atts) > 0 {
+		p.primary.Store(p.atts[0])
+	} else {
+		p.primary.Store(nil)
 	}
-	return f
 }
 
 // PopulatedPages returns the number of lazily-allocated backing frames.
 func (p *Pool) PopulatedPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.frames)
+	return p.pages.count
 }
 
 // --- Raw (event-free) byte access, used before attach and by the store.
+//
+// Loads take no lock. A multi-word load racing a store from another
+// goroutine may observe that store at 8-byte granularity: some words
+// old, some new, each word whole. The exclusive-writer attach policy
+// rules this out for loads through attachments, because a pool with a
+// writable attachment has no other attachment to read through.
 
 func (p *Pool) readU64Raw(off uint64) uint64 {
+	if off&7 == 0 {
+		f := p.pages.lookup(off >> memlayout.PageShift)
+		if f == nil {
+			return 0
+		}
+		return f[off&(memlayout.PageSize-1)>>3].Load()
+	}
 	var buf [8]byte
 	p.readRaw(off, buf[:])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
 func (p *Pool) writeU64Raw(off uint64, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	p.writeRaw(off, buf[:])
+	if off&7 != 0 {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		p.writeRaw(off, buf[:])
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dirty = true
+	if p.hookStore != nil {
+		var buf [8]byte // escapes into the hook, so allocated only here
+		binary.LittleEndian.PutUint64(buf[:], v)
+		p.hookStore(off, buf[:])
+	}
+	p.pages.get(off >> memlayout.PageShift)[off&(memlayout.PageSize-1)>>3].Store(v)
 }
 
 func (p *Pool) readRaw(off uint64, dst []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for len(dst) > 0 {
 		pageOff := off & (memlayout.PageSize - 1)
-		n := memlayout.PageSize - pageOff
-		if n > uint64(len(dst)) {
-			n = uint64(len(dst))
-		}
-		if f := p.frame(off, false); f != nil {
-			copy(dst[:n], f[pageOff:pageOff+n])
+		n := min(memlayout.PageSize-pageOff, uint64(len(dst)))
+		if f := p.pages.lookup(off >> memlayout.PageShift); f != nil {
+			f.read(pageOff, dst[:n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += n
@@ -272,12 +289,8 @@ func (p *Pool) writeRaw(off uint64, src []byte) {
 	}
 	for len(src) > 0 {
 		pageOff := off & (memlayout.PageSize - 1)
-		n := memlayout.PageSize - pageOff
-		if n > uint64(len(src)) {
-			n = uint64(len(src))
-		}
-		f := p.frame(off, true)
-		copy(f[pageOff:pageOff+n], src[:n])
+		n := min(memlayout.PageSize-pageOff, uint64(len(src)))
+		p.pages.get(off>>memlayout.PageShift).write(pageOff, src[:n])
 		src = src[n:]
 		off += n
 	}
@@ -353,18 +366,12 @@ func (p *Pool) Write(off uint32, src []byte) {
 }
 
 // emit forwards one access to the primary attachment's event sink, if
-// any, and reports whether the access was permitted. The sink call is
-// made outside p.mu: sinks are either nil or externally serialized (the
-// simulator is single-threaded per machine), and holding the pool lock
-// across it would invert the lock order against attach paths.
+// any, and reports whether the access was permitted. It takes no lock:
+// sinks are either nil or externally serialized (the simulator is
+// single-threaded per machine), and the primary attachment is an atomic
+// pointer that attach and detach republish.
 func (p *Pool) emit(off uint64, size uint32, write bool) bool {
-	p.mu.Lock()
-	var att *Attachment
-	if len(p.atts) > 0 {
-		att = p.atts[0]
-	}
-	p.mu.Unlock()
-	if att != nil {
+	if att := p.primary.Load(); att != nil {
 		return att.emit(off, size, write)
 	}
 	return true
@@ -410,15 +417,11 @@ func (p *Pool) SetPersistHooks(store func(off uint64, src []byte), fence func())
 func (p *Pool) Fence() {
 	p.mu.Lock()
 	hf := p.hookFence
-	var att *Attachment
-	if len(p.atts) > 0 {
-		att = p.atts[0]
-	}
 	p.mu.Unlock()
 	if hf != nil {
 		hf()
 	}
-	if att != nil {
+	if att := p.primary.Load(); att != nil {
 		att.Fence()
 	}
 }
@@ -428,6 +431,8 @@ func (p *Pool) Fence() {
 // testing snapshots images and rebuilds pools from faulted variants.
 func (p *Pool) CopyImage() []byte {
 	img := make([]byte, p.size)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.readRaw(0, img)
 	return img
 }
@@ -443,12 +448,8 @@ func (p *Pool) LoadImage(img []byte) error {
 	defer p.mu.Unlock()
 	p.dirty = true
 	for off := uint64(0); off < p.size; off += memlayout.PageSize {
-		n := uint64(memlayout.PageSize)
-		if off+n > p.size {
-			n = p.size - off
-		}
-		f := p.frame(off, true)
-		copy(f[:n], img[off:off+n])
+		n := min(memlayout.PageSize, p.size-off)
+		p.pages.get(off>>memlayout.PageShift).write(0, img[off:off+n])
 	}
 	return nil
 }

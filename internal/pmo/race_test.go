@@ -1,6 +1,8 @@
 package pmo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -235,4 +237,138 @@ func TestRaceParallelByteAccessDisjointPages(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRaceLockFreeReaders reads one pool through two read-only
+// attachments in two spaces, each on its own goroutine, while a third
+// goroutine stores whole words through the pool and a fourth runs
+// Store.Sync and CopyImage. Loads take no lock, so every value a reader
+// sees must be one a store wrote whole: words are never torn.
+func TestRaceLockFreeReaders(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.Create("shared", 1<<20, ModeDefault, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		base  = 64 << 10
+		words = 1024 // two pages
+		iters = 200
+	)
+	pattern := func(n int) uint64 { return uint64(n) * 0x0101010101010101 }
+	for i := 0; i < words; i++ {
+		p.WriteU64(uint32(base+8*i), pattern(0))
+	}
+	var atts []*Attachment
+	for i := 0; i < 2; i++ {
+		att, err := NewSpace(nil).Attach(p, core.PermR, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		atts = append(atts, att)
+	}
+	var wg sync.WaitGroup
+	for _, att := range atts {
+		wg.Add(1)
+		go func(att *Attachment) {
+			defer wg.Done()
+			buf := make([]byte, 8*words)
+			for n := 0; n < iters; n++ {
+				att.Read(base, buf)
+				for i := 0; i < words; i++ {
+					if v := binary.LittleEndian.Uint64(buf[8*i:]); v%pattern(1) != 0 || v/pattern(1) > 255 {
+						t.Errorf("Read saw a torn word %#x", v)
+						return
+					}
+				}
+				if v := att.ReadU64(uint32(base + 8*(n%words))); v%pattern(1) != 0 {
+					t.Errorf("ReadU64 saw a torn word %#x", v)
+					return
+				}
+			}
+		}(att)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for n := 1; n <= iters; n++ {
+			for i := 0; i < words; i += 7 {
+				p.WriteU64(uint32(base+8*i), pattern(n%256))
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; n < 20; n++ {
+			if err := store.Sync(); err != nil {
+				t.Errorf("sync: %v", err)
+				return
+			}
+			if img := p.CopyImage(); uint64(len(img)) != p.Size() {
+				t.Errorf("CopyImage returned %d bytes", len(img))
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestRaceWriteAttachedSync stores through a write attachment while
+// Store.Sync and CopyImage run; the synced file must then reload to the
+// pool's final image.
+func TestRaceWriteAttachedSync(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.Create("rw", 1<<20, ModeDefault, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := NewSpace(nil).Attach(p, core.PermRW, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 200)
+		for n := 0; n < 300; n++ {
+			for i := range buf {
+				buf[i] = byte(n + i)
+			}
+			att.Write(uint32(70<<10+n*97), buf)
+			att.WriteU64(uint32(300<<10+8*n), uint64(n))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; n < 20; n++ {
+			if err := store.Sync(); err != nil {
+				t.Errorf("sync: %v", err)
+				return
+			}
+			p.CopyImage()
+		}
+	}()
+	wg.Wait()
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok := back.Get("rw")
+	if !ok {
+		t.Fatal("pool missing after reload")
+	}
+	if !bytes.Equal(q.CopyImage(), p.CopyImage()) {
+		t.Fatal("reloaded pool differs from the synced one")
+	}
 }

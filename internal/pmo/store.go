@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"domainvirt/internal/memlayout"
 )
 
 // Store is the OS-side PMO namespace: it owns pool names, IDs, permission
@@ -175,7 +173,7 @@ func (s *Store) List() []PoolInfo {
 			Size:      p.size,
 			Mode:      p.mode,
 			Owner:     p.owner,
-			Populated: len(p.frames),
+			Populated: p.pages.count,
 			Attached:  len(p.atts) > 0,
 		})
 		p.mu.Unlock()
@@ -247,15 +245,14 @@ func (s *Store) Snapshot(src, dst, owner string) (*Pool, error) {
 		mode:      from.mode,
 		owner:     owner,
 		attachKey: from.attachKey,
-		frames:    make(map[uint64]*[memlayout.PageSize]byte, len(from.frames)),
+		pages:     newPageDir(from.size),
 		store:     s,
 		dirty:     true,
 	}
-	for idx, f := range from.frames {
-		nf := new([memlayout.PageSize]byte)
-		*nf = *f
-		cp.frames[idx] = nf
-	}
+	_ = from.pages.each(func(idx uint64, f *frame) error { // never fails
+		cp.pages.get(idx).copyFrom(f)
+		return nil
+	})
 	from.mu.Unlock()
 	cp.writeU64Raw(hdrPoolID, uint64(id)) // the copy has its own identity
 	s.pools[dst] = cp

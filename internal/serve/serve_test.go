@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -435,5 +436,31 @@ func TestLoadGeneratorSmoke(t *testing.T) {
 	}
 	if rep.Throughput() <= 0 {
 		t.Error("zero throughput")
+	}
+}
+
+// TestOpenHugePoolAllocatesConstant pins that an OPEN creating a 2^50-byte
+// pool allocates about what one creating a 1 MiB pool does: pool memory
+// follows the pages touched, never the pool's size.
+func TestOpenHugePoolAllocatesConstant(t *testing.T) {
+	_, addr := startTestServer(t, Options{})
+	open := func(name string, size uint64) uint64 {
+		cl := dialT(t, addr)
+		if err := cl.Hello(name); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cl.Open(name, size); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small := open("small", 1<<20)
+	huge := open("huge", 1<<50)
+	t.Logf("OPEN allocated %d bytes for a 2^50-byte pool, %d for a 1 MiB pool", huge, small)
+	if huge > 256<<10 || huge > small+64<<10 {
+		t.Fatalf("OPEN of a 2^50-byte pool allocated %d bytes (a 1 MiB pool: %d)", huge, small)
 	}
 }

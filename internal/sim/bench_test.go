@@ -257,3 +257,25 @@ func BenchmarkAttach1024(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRestore1024PMO measures serving one warm cell from stored
+// snapshot bytes on the Fig 6 shape at 1024 PMOs: decode the snapshot,
+// then restore it into a machine. Its allocation budget is dominated by
+// the page table, which both steps copy.
+func BenchmarkRestore1024PMO(b *testing.B) {
+	data, err := sim.EncodeSnapshot(pools1024Machine(b).Snapshot())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fork := sim.NewMachine(sim.DefaultConfig(), sim.SchemeLowerbound)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := sim.DecodeSnapshot(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fork.Restore(snap)
+	}
+}

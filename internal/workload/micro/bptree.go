@@ -43,6 +43,7 @@ type BPTree struct {
 	mp       *MultiPool
 	home     *pmo.Pool
 	keyspace uint64
+	scratch  [btNodeSize]byte // entry block moves within and between leaves
 }
 
 // NewBPTree wraps mp as a B+tree, creating the root leaf in a random
@@ -120,7 +121,7 @@ func (t *BPTree) shiftLeaf(ctx *OpCtx, o pmo.OID, pos, n int) {
 	}
 	p := t.mp.ByOID(o)
 	ctx.EnsureWrite(p)
-	buf := make([]byte, (n-pos)*btLeafEntry)
+	buf := t.scratch[:(n-pos)*btLeafEntry]
 	p.Read(o.Offset()+uint32(btEntries+pos*btLeafEntry), buf)
 	p.Write(o.Offset()+uint32(btEntries+(pos+1)*btLeafEntry), buf)
 }
@@ -177,7 +178,7 @@ func (t *BPTree) insertRec(ctx *OpCtx, o pmo.OID, key uint64) (uint64, pmo.OID, 
 		half := n / 2
 		src, dst := t.mp.ByOID(o), t.mp.ByOID(nl)
 		ctx.EnsureWrite(dst)
-		buf := make([]byte, (n-half)*btLeafEntry)
+		buf := t.scratch[:(n-half)*btLeafEntry]
 		src.Read(o.Offset()+uint32(btEntries+half*btLeafEntry), buf)
 		dst.Write(nl.Offset()+uint32(btEntries), buf)
 		ctx.W8(nl, btNKeys, uint64(n-half))
@@ -276,7 +277,7 @@ func (t *BPTree) Delete(ctx *OpCtx, key uint64) (bool, error) {
 			p := t.mp.ByOID(o)
 			ctx.EnsureWrite(p)
 			if i < n-1 {
-				buf := make([]byte, (n-1-i)*btLeafEntry)
+				buf := t.scratch[:(n-1-i)*btLeafEntry]
 				p.Read(o.Offset()+uint32(btEntries+(i+1)*btLeafEntry), buf)
 				p.Write(o.Offset()+uint32(btEntries+i*btLeafEntry), buf)
 			}

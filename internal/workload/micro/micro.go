@@ -22,12 +22,15 @@ import (
 // MultiPool is the set of pools a benchmark spreads its nodes across.
 type MultiPool struct {
 	Pools []*pmo.Pool
-	byID  map[uint32]*pmo.Pool
+	// byID is indexed by pool ID (nil where the ID is not one of Pools):
+	// the store hands out IDs densely, and every node access resolves
+	// its OID's pool through it.
+	byID []*pmo.Pool
 }
 
 // SetupPools creates, attaches, and read-grants NumPMOs pools.
 func SetupPools(env *workload.Env, prefix string) (*MultiPool, error) {
-	mp := &MultiPool{byID: make(map[uint32]*pmo.Pool)}
+	mp := &MultiPool{}
 	for i := 0; i < env.P.NumPMOs; i++ {
 		p, err := env.Store.Create(fmt.Sprintf("%s-%04d", prefix, i), env.P.PoolSize, pmo.ModeDefault, "bench")
 		if err != nil {
@@ -37,6 +40,9 @@ func SetupPools(env *workload.Env, prefix string) (*MultiPool, error) {
 			return nil, err
 		}
 		mp.Pools = append(mp.Pools, p)
+		if n := int(p.ID()) + 1; n > len(mp.byID) {
+			mp.byID = append(mp.byID, make([]*pmo.Pool, n-len(mp.byID))...)
+		}
 		mp.byID[p.ID()] = p
 	}
 	// Grant every thread read permission for all PMOs.
@@ -53,11 +59,16 @@ func SetupPools(env *workload.Env, prefix string) (*MultiPool, error) {
 	return mp, nil
 }
 
-// ByOID returns the pool holding o.
-func (m *MultiPool) ByOID(o pmo.OID) *pmo.Pool { return m.byID[o.Pool()] }
+// ByOID returns the pool holding o, or nil if o is in none of them.
+func (m *MultiPool) ByOID(o pmo.OID) *pmo.Pool { return m.ByID(o.Pool()) }
 
-// ByID returns the pool with the given ID.
-func (m *MultiPool) ByID(id uint32) *pmo.Pool { return m.byID[id] }
+// ByID returns the pool with the given ID, or nil.
+func (m *MultiPool) ByID(id uint32) *pmo.Pool {
+	if int(id) >= len(m.byID) {
+		return nil
+	}
+	return m.byID[id]
+}
 
 // Home is the pool holding structure roots and sentinels (the first).
 func (m *MultiPool) Home() *pmo.Pool { return m.Pools[0] }
@@ -72,21 +83,26 @@ type OpCtx struct {
 	// per-pool placement ablation (each pool holds its own structure).
 	Pin     *pmo.Pool
 	enabled []*pmo.Pool
-	inWin   map[uint32]bool
+	inWin   []bool // by pool ID: write enabled in this operation
+	val     []byte // ValueSize scratch for WriteValue and ReadValue
 }
 
 // NewOpCtx returns a write-window tracker for the benchmark.
 func NewOpCtx(env *workload.Env, mp *MultiPool) *OpCtx {
-	return &OpCtx{Env: env, MP: mp, inWin: make(map[uint32]bool)}
+	return &OpCtx{Env: env, MP: mp, val: make([]byte, env.P.ValueSize)}
 }
 
 // EnsureWrite enables write permission for p if this operation has not
 // already.
 func (o *OpCtx) EnsureWrite(p *pmo.Pool) {
-	if o.inWin[p.ID()] {
+	id := int(p.ID())
+	if id < len(o.inWin) && o.inWin[id] {
 		return
 	}
-	o.inWin[p.ID()] = true
+	if id >= len(o.inWin) {
+		o.inWin = append(o.inWin, make([]bool, id+1-len(o.inWin))...)
+	}
+	o.inWin[id] = true
 	o.enabled = append(o.enabled, p)
 	_ = o.Env.Space.SetPerm(p, core.PermRW, workload.SiteOpEnable)
 }
@@ -96,7 +112,7 @@ func (o *OpCtx) EnsureWrite(p *pmo.Pool) {
 func (o *OpCtx) End() {
 	for _, p := range o.enabled {
 		_ = o.Env.Space.SetPerm(p, core.PermR, workload.SiteOpDisable)
-		delete(o.inWin, p.ID())
+		o.inWin[p.ID()] = false
 	}
 	o.enabled = o.enabled[:0]
 }
@@ -153,16 +169,15 @@ func (o *OpCtx) WOID(oid pmo.OID, field uint32, v pmo.OID) {
 func (o *OpCtx) WriteValue(oid pmo.OID, field uint32, key uint64) {
 	p := o.MP.ByOID(oid)
 	o.EnsureWrite(p)
-	buf := make([]byte, o.Env.P.ValueSize)
-	fillValue(buf, key)
-	p.Write(oid.Offset()+field, buf)
+	fillValue(o.val, key)
+	p.Write(oid.Offset()+field, o.val)
 }
 
-// ReadValue reads the node payload.
+// ReadValue reads the node payload into the context's scratch buffer,
+// which stays valid until the next ReadValue or WriteValue.
 func (o *OpCtx) ReadValue(oid pmo.OID, field uint32) []byte {
-	buf := make([]byte, o.Env.P.ValueSize)
-	o.MP.ByOID(oid).Read(oid.Offset()+field, buf)
-	return buf
+	o.MP.ByOID(oid).Read(oid.Offset()+field, o.val)
+	return o.val
 }
 
 func fillValue(buf []byte, key uint64) {

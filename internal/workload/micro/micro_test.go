@@ -306,3 +306,36 @@ func TestPerPoolTouchesOneDomain(t *testing.T) {
 		t.Errorf("window discipline: %v", got)
 	}
 }
+
+// TestOpCtxAccessesDoNotAllocate pins the per-op heap allocations of the
+// node accessors at zero once an OpCtx is warmed: the pool lookup is a
+// slice index, the write window a bool slice, and value and leaf-shift
+// buffers are scratch owned by the context and the tree.
+func TestOpCtxAccessesDoNotAllocate(t *testing.T) {
+	env := testEnv(t, 8)
+	mp, err := SetupPools(env, "alloc-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewOpCtx(env, mp)
+	tree, err := NewBPTree(mp, env, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := tree.root()
+	node, err := ctx.Alloc(64 + uint64(env.P.ValueSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func() {
+		ctx.W8(node, 0, ctx.R8(node, 0)+1)
+		ctx.WriteValue(node, 64, 7)
+		ctx.ReadValue(node, 64)
+		tree.shiftLeaf(ctx, leaf, 0, 8)
+		ctx.End()
+	}
+	op() // warm: sizes the write-window table
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Fatalf("R8/W8/WriteValue/ReadValue/shiftLeaf allocate %.1f times per op, want 0", n)
+	}
+}

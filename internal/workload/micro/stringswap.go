@@ -17,6 +17,7 @@ type StringSwap struct {
 	strSize int
 	bases   []pmo.OID // per-pool slab base
 	perPool int
+	bi, bj  []byte // Swap's string buffers
 }
 
 // NewStringSwap allocates one slab of string slots per pool. Slot i lives
@@ -26,6 +27,8 @@ func NewStringSwap(mp *MultiPool, env *workload.Env, ctx *OpCtx) (*StringSwap, e
 		mp:      mp,
 		total:   env.P.InitialElems * 4,
 		strSize: env.P.ValueSize,
+		bi:      make([]byte, env.P.ValueSize),
+		bj:      make([]byte, env.P.ValueSize),
 	}
 	p := len(mp.Pools)
 	s.perPool = (s.total + p - 1) / p
@@ -61,8 +64,7 @@ func (s *StringSwap) slot(i int) (pmo.OID, *pmo.Pool) {
 func (s *StringSwap) Swap(ctx *OpCtx, i, j int) {
 	oi, pi := s.slot(i)
 	oj, pj := s.slot(j)
-	bi := make([]byte, s.strSize)
-	bj := make([]byte, s.strSize)
+	bi, bj := s.bi, s.bj
 	pi.Read(oi.Offset(), bi)
 	pj.Read(oj.Offset(), bj)
 	ctx.EnsureWrite(pi)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — regenerate or gate the checked-in benchmark budget
 # (BENCH_sim.json) covering the simulator hot path, the TLB debt set,
-# the serve wire/request/batch path, and cluster routing.
+# the serve wire/request/batch path, cluster routing, and the PMO pool
+# load path.
 #
 #   scripts/bench.sh check    # default: fail on >10% ns/op regression
 #                             # or any allocs/op increase vs BENCH_sim.json
@@ -23,7 +24,8 @@ tol="${BENCH_TOLERANCE:-0.10}"
 
 run_bench() {
     go test -run '^$' -bench . -benchmem -benchtime "$btime" -count "$count" \
-        ./internal/sim/ ./internal/tlb/ ./internal/serve/ ./internal/cluster/
+        ./internal/sim/ ./internal/tlb/ ./internal/serve/ ./internal/cluster/ \
+        ./internal/pmo/
 }
 
 case "$mode" in

@@ -48,8 +48,16 @@ go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
 # against the slot-scanning code they replaced, run repeatedly under the
 # race detector, plus a short live fuzz of shootdown vs. full scan.
 go test -race -count=3 -run 'TestShootdownMatchesScan|TestSpansMatchRebuild' ./internal/sim/
-go test -race -count=3 -run 'TestForEachPopulatedMatchesScan' ./internal/pagetable/
+go test -race -count=3 -run 'TestForEachPopulatedMatchesScan|TestLeafHoldsNoPointers' ./internal/pagetable/
 go test -fuzz FuzzShootdownMatchesScan -fuzztime 5s -run '^$' ./internal/sim/
+
+# Host-time per-access paths: the lock-free pool page directory and the
+# one-scan cache miss path each have a differential test against the
+# code they replaced; the lock-free pool readers have race tests against
+# Sync, CopyImage and concurrent stores. All run repeatedly under the
+# race detector.
+go test -race -count=3 -run 'TestPageDirMatchesMapReference|TestCreateHugePoolAllocatesConstant|TestRaceLockFreeReaders|TestRaceWriteAttachedSync' ./internal/pmo/
+go test -race -count=3 -run 'TestFillMatchesThreeScanReference' ./internal/cache/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
@@ -57,6 +65,7 @@ go test -fuzz FuzzShootdownMatchesScan -fuzztime 5s -run '^$' ./internal/sim/
 # scripts/bench.sh check is the full timing gate).
 go test -run '^$' -bench . -benchmem -benchtime 200x \
     ./internal/sim/ ./internal/tlb/ ./internal/serve/ ./internal/cluster/ \
+    ./internal/pmo/ \
     | go run ./cmd/benchjson -check BENCH_sim.json -ns-tolerance -1
 
 # Smoke: an observed run must write a parseable, nonempty epoch series.

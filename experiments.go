@@ -31,24 +31,29 @@ type ExpOptions struct {
 	Seed int64
 
 	// Workers bounds the number of experiment cells simulated
-	// concurrently. 0 selects GOMAXPROCS; 1 forces sequential
+	// concurrently — with Snapshots set, the number of cell groups
+	// (see Snapshots). 0 selects GOMAXPROCS; 1 forces sequential
 	// execution. Results are identical either way — only wall-clock
 	// time changes.
 	Workers int
 
 	// Progress, when non-nil, receives one "[done/total] label" line
 	// per completed experiment cell (typically os.Stderr). Lines are
-	// serialized; order follows completion. With Snapshots set, each
-	// line is tagged "(snapshot)" when the cell forked from a cached
-	// warmup checkpoint or "(warmup)" when it simulated its own setup.
+	// serialized; order follows completion, and a group's lines arrive
+	// together. With Snapshots set, each line is tagged "(snapshot)"
+	// when the cell forked from a cached warmup checkpoint or
+	// "(warmup)" when it simulated its own setup.
 	Progress io.Writer
 
 	// Snapshots, when non-nil, shares warmup machine checkpoints across
 	// cells and grids: the first cell with a given (workload, params,
 	// scheme, structural config) simulates its setup phase once, and
-	// every later such cell forks from the checkpoint. Results and
+	// every later such cell forks from the checkpoint. The cells of one
+	// (workload, params) group also share one measured workload pass,
+	// teed into one restored machine per scheme. Results and
 	// observability exports are bit-identical either way — only
-	// wall-clock time changes. See NewSnapshotCache.
+	// wall-clock time and memory (one live machine per scheme of a
+	// group) change. See NewSnapshotCache.
 	Snapshots *SnapshotCache
 
 	// SweepAddrs lists pmoworker daemon addresses. When non-empty,

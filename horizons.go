@@ -71,19 +71,19 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	// missing horizon would skip its capture.
 	persistent := cache != nil && cache.Persistent()
 	resumeOp := 0
-	var resumeSnap *sim.Snapshot
+	var resumeM *sim.Machine
 	if persistent {
 		contiguous := true
 		for idx, h := range horizons {
-			snap, res, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
+			_, probe, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
 			if !ok {
 				contiguous = false
 				continue
 			}
-			results[idx] = res
+			results[idx] = probe.Result()
 			have[idx] = true
 			if contiguous {
-				resumeOp, resumeSnap = h, snap
+				resumeOp, resumeM = h, probe
 			}
 		}
 	}
@@ -111,28 +111,26 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		env *workload.Env
 	)
 	switch {
-	case resumeSnap != nil:
-		// Resume: machine state comes from the stored checkpoint; the
-		// Go-side workload state is rebuilt by replaying setup and the
-		// first resumeOp measured ops against Discard (no simulation).
-		m = sim.NewMachine(cfg, scheme)
-		if err := m.RestoreSafe(resumeSnap); err != nil {
-			return nil, fmt.Errorf("domainvirt: %s resume under %s: %w", name, scheme, err)
-		}
+	case resumeM != nil:
+		// Resume: machine state comes from the stored checkpoint (the
+		// machine its load validated it on); the Go-side workload state
+		// is rebuilt by replaying setup and the first resumeOp measured
+		// ops against Discard (no simulation).
+		m = resumeM
 		sw = &sinkSwitch{inner: trace.Discard{}}
 		env = workload.NewEnv(sw, runP)
 		if err := w.Setup(env); err != nil {
 			return nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 		}
 	default:
-		var snap *sim.Snapshot
-		if cache != nil {
-			snap, _ = cache.warmup(name, p, scheme, cfg)
-		}
+		snap, own, _ := cache.warmup(name, p, scheme, cfg)
 		if snap != nil {
 			// Fork from the (possibly shared) warmup checkpoint.
-			m = sim.NewMachine(cfg, scheme)
-			m.Restore(snap)
+			m = own
+			if m == nil {
+				m = sim.NewMachine(cfg, scheme)
+				m.Restore(snap)
+			}
 			sw = &sinkSwitch{inner: trace.Discard{}}
 			env = workload.NewEnv(sw, runP)
 			if err := w.Setup(env); err != nil {
@@ -185,9 +183,8 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	if err := w.Run(env); err != nil {
 		return nil, fmt.Errorf("domainvirt: %s run under %s: %w", name, scheme, err)
 	}
-	if r := m.Result(); r.Counters.DomainFaults > 0 || r.Counters.PageFaults > 0 {
-		return nil, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
-			name, scheme, r.Counters.DomainFaults, r.Counters.PageFaults, m.Faults())
+	if _, err := faultCheck(m, name, scheme); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -73,7 +73,7 @@ func DecodeTable(r *bincodec.Reader) (*Table, error) {
 		if r.Err() != nil {
 			break
 		}
-		t.set(t.leafFor(va, true), memlayout.Index(va, 0), PTE{
+		t.set(t.writableLeaf(va), memlayout.Index(va, 0), PTE{
 			PFN:      pfn,
 			Present:  flags&1 != 0,
 			Writable: flags&2 != 0,
@@ -83,5 +83,8 @@ func DecodeTable(r *bincodec.Reader) (*Table, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("pagetable: %w", err)
 	}
+	// A decoded table starts out owning no leaf, like a clone, so that
+	// concurrent clones of it write nothing.
+	disownAll(t.root, memlayout.NumLevels-1)
 	return t, nil
 }

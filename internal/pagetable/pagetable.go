@@ -19,11 +19,20 @@ type PTE struct {
 	PKey     uint8 // 4-bit protection key; 0 is the null (domainless) key
 }
 
-// node is one interior radix node (levels 3 to 1). It holds only child
-// pointers: interior nodes below it at levels 3 and 2, leaves at level 1.
+// node is one interior radix node (levels 3 to 1). It holds child
+// pointers — interior nodes below it at levels 3 and 2, leaves at level
+// 1 — and, at level 1, the bitmap of the leaves its table owns.
+//
+// Interior nodes belong to one table; leaves may be shared. Clone copies
+// the interior nodes and shares every leaf, clearing the owned bits on
+// both sides, and a write to a leaf whose owned bit is clear first
+// replaces it with a private copy (copy on write). A table that is only
+// read — a checkpoint's — therefore never costs a leaf copy, and cloning
+// it writes nothing, so any number of goroutines may clone it at once.
 type node struct {
 	children [memlayout.RadixFanout]*node
 	leaves   [memlayout.RadixFanout]*leaf
+	owned    [memlayout.RadixFanout / 64]uint64
 }
 
 // leaf is one level-0 radix node: 512 PTEs and a present bitmap (bit i
@@ -55,23 +64,22 @@ func New() *Table {
 // Populated returns the total number of present PTEs in the table.
 func (t *Table) Populated() uint64 { return t.populated }
 
-// Clone returns a deep copy of the table: the two share no nodes, so
-// mutations of one are invisible to the other.
+// Clone returns a copy of the table: mutations of either are invisible
+// to the other. The two share their leaves copy on write (see node), so
+// a clone costs the interior nodes only. Cloning gives up t's ownership
+// of its leaves, which writes t unless t owns none (a clone or a decoded
+// table not written since): like any write, that needs exclusive access.
 func (t *Table) Clone() *Table {
 	return &Table{root: cloneNode(t.root, memlayout.NumLevels-1), populated: t.populated}
 }
 
-// cloneNode deep-copies the level-lvl interior node n.
+// cloneNode copies the level-lvl interior node n and the interior nodes
+// below it, sharing the leaves.
 func cloneNode(n *node, lvl int) *node {
 	c := &node{}
 	if lvl == 1 {
-		for i, l := range n.leaves {
-			if l != nil {
-				cl := new(leaf)
-				*cl = *l
-				c.leaves[i] = cl
-			}
-		}
+		c.leaves = n.leaves
+		n.disown()
 		return c
 	}
 	for i, child := range n.children {
@@ -82,9 +90,50 @@ func cloneNode(n *node, lvl int) *node {
 	return c
 }
 
-// leafFor returns the leaf covering va, creating intermediate nodes when
-// create is true; otherwise it returns nil if the path is absent.
-func (t *Table) leafFor(va memlayout.VA, create bool) *leaf {
+// disown clears the level-1 node's owned bits, leaving its leaves to be
+// copied before they are next written. It writes only bits that are set.
+func (n *node) disown() {
+	for i := range n.owned {
+		if n.owned[i] != 0 {
+			n.owned[i] = 0
+		}
+	}
+}
+
+// disownAll disowns every level-1 node under the level-lvl node n.
+func disownAll(n *node, lvl int) {
+	if lvl == 1 {
+		n.disown()
+		return
+	}
+	for _, c := range n.children {
+		if c != nil {
+			disownAll(c, lvl-1)
+		}
+	}
+}
+
+// ownLeaf returns the level-1 node's leaf at slot idx for writing: a new
+// leaf if the slot is empty, or a private copy if the leaf is shared.
+func (n *node) ownLeaf(idx int) *leaf {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	l := n.leaves[idx]
+	if n.owned[w]&bit != 0 {
+		return l
+	}
+	c := new(leaf)
+	if l != nil {
+		*c = *l
+	}
+	n.leaves[idx] = c
+	n.owned[w] |= bit
+	return c
+}
+
+// lastLevel returns the level-1 node on va's path, creating interior
+// nodes when create is true; otherwise it returns nil if the path is
+// absent.
+func (t *Table) lastLevel(va memlayout.VA, create bool) *node {
 	n := t.root
 	for lvl := memlayout.NumLevels - 1; lvl >= 2; lvl-- {
 		idx := memlayout.Index(va, lvl)
@@ -98,13 +147,13 @@ func (t *Table) leafFor(va memlayout.VA, create bool) *leaf {
 		}
 		n = next
 	}
-	idx := memlayout.Index(va, 1)
-	l := n.leaves[idx]
-	if l == nil && create {
-		l = new(leaf)
-		n.leaves[idx] = l
-	}
-	return l
+	return n
+}
+
+// writableLeaf returns the leaf covering va ready for writing, creating
+// it and its interior nodes if absent.
+func (t *Table) writableLeaf(va memlayout.VA) *leaf {
+	return t.lastLevel(va, true).ownLeaf(memlayout.Index(va, 1))
 }
 
 // set stores pte into slot idx of leaf n, keeping the leaf's present
@@ -125,7 +174,7 @@ func (t *Table) set(n *leaf, idx int, pte PTE) {
 
 // Map installs a translation for the 4 KB page containing va.
 func (t *Table) Map(va memlayout.VA, pa memlayout.PA, writable bool) {
-	t.set(t.leafFor(va, true), memlayout.Index(va, 0), PTE{
+	t.set(t.writableLeaf(va), memlayout.Index(va, 0), PTE{
 		PFN:      uint64(pa) >> memlayout.PageShift,
 		Present:  true,
 		Writable: writable,
@@ -135,15 +184,16 @@ func (t *Table) Map(va memlayout.VA, pa memlayout.PA, writable bool) {
 // Unmap removes the translation for the page containing va, reporting
 // whether a mapping was present.
 func (t *Table) Unmap(va memlayout.VA) bool {
-	n := t.leafFor(va, false)
+	n := t.lastLevel(va, false)
 	if n == nil {
 		return false
 	}
+	l := n.leaves[memlayout.Index(va, 1)]
 	idx := memlayout.Index(va, 0)
-	if !n.ptes[idx].Present {
+	if l == nil || !l.ptes[idx].Present {
 		return false
 	}
-	t.set(n, idx, PTE{})
+	t.set(n.ownLeaf(memlayout.Index(va, 1)), idx, PTE{})
 	return true
 }
 
@@ -203,7 +253,7 @@ func (t *Table) SetKey(r memlayout.Region, key uint8) int {
 // PopulatedPages counts present PTEs within region.
 func (t *Table) PopulatedPages(r memlayout.Region) int {
 	n := 0
-	t.ForEachPopulated(r, func(memlayout.VA, *PTE) { n++ })
+	t.populatedIn(r, false, func(memlayout.VA, *PTE) { n++ })
 	return n
 }
 
@@ -211,13 +261,19 @@ func (t *Table) PopulatedPages(r memlayout.Region) int {
 // region, in ascending VA order, passing the page base VA and a mutable
 // PTE pointer. fn may rewrite any field but Present.
 func (t *Table) ForEachPopulated(r memlayout.Region, fn func(memlayout.VA, *PTE)) {
+	t.populatedIn(r, true, fn)
+}
+
+// populatedIn is ForEachPopulated; with write, the leaves the region
+// overlaps are made private first, so fn may rewrite the PTEs.
+func (t *Table) populatedIn(r memlayout.Region, write bool, fn func(memlayout.VA, *PTE)) {
 	if r.Size == 0 || uint64(r.Base) > ^uint64(0)-(memlayout.PageSize-1) {
 		return
 	}
 	// Pages whose base lies in r: round the start up, the end down.
 	lo := memlayout.PageNum(r.Base + memlayout.PageSize - 1)
 	hi := memlayout.PageNum(r.End() - 1)
-	t.walkPages(lo, hi, func(vpn uint64, pte *PTE) bool {
+	t.walkPages(lo, hi, write, func(vpn uint64, pte *PTE) bool {
 		fn(memlayout.VA(vpn<<memlayout.PageShift), pte)
 		return true
 	})
@@ -230,7 +286,7 @@ func (t *Table) ForEachPopulated(r memlayout.Region, fn func(memlayout.VA, *PTE)
 // sparse range is listed in time proportional to its populated pages.
 func (t *Table) AppendPresentVPNs(dst []uint64, lo, hi uint64, limit int) (_ []uint64, ok bool) {
 	start := len(dst)
-	ok = t.walkPages(lo, hi, func(vpn uint64, _ *PTE) bool {
+	ok = t.walkPages(lo, hi, false, func(vpn uint64, _ *PTE) bool {
 		if len(dst)-start == limit {
 			return false
 		}
@@ -243,15 +299,15 @@ func (t *Table) AppendPresentVPNs(dst []uint64, lo, hi uint64, limit int) (_ []u
 // walkPages visits every present PTE of the pages numbered lo..hi in
 // ascending order, stopping early when fn returns false. It reports
 // whether the walk ran to completion. Pages at or above MaxVPN are never
-// visited.
-func (t *Table) walkPages(lo, hi uint64, fn func(vpn uint64, pte *PTE) bool) bool {
+// visited. With write, each leaf is made private before it is visited.
+func (t *Table) walkPages(lo, hi uint64, write bool, fn func(vpn uint64, pte *PTE) bool) bool {
 	if hi >= MaxVPN {
 		hi = MaxVPN - 1
 	}
 	if lo > hi {
 		return true
 	}
-	return walkRange(t.root, memlayout.NumLevels-1, 0, lo, hi, fn)
+	return walkRange(t.root, memlayout.NumLevels-1, 0, lo, hi, write, fn)
 }
 
 // slotRange returns the first and last slot of a level-lvl node, whose
@@ -270,16 +326,23 @@ func slotRange(lvl int, first, lo, hi uint64) (i0, i1 int) {
 
 // walkRange walks the level-lvl interior node n, whose first page is
 // first, over the pages lo..hi that overlap it.
-func walkRange(n *node, lvl int, first, lo, hi uint64, fn func(uint64, *PTE) bool) bool {
+func walkRange(n *node, lvl int, first, lo, hi uint64, write bool, fn func(uint64, *PTE) bool) bool {
 	shift := uint(lvl * memlayout.RadixBits)
 	i0, i1 := slotRange(lvl, first, lo, hi)
 	for i := i0; i <= i1; i++ {
 		start := first + uint64(i)<<shift
 		if lvl == 1 {
-			if l := n.leaves[i]; l != nil && !l.walk(start, lo, hi, fn) {
+			l := n.leaves[i]
+			if l == nil {
+				continue
+			}
+			if write {
+				l = n.ownLeaf(i)
+			}
+			if !l.walk(start, lo, hi, fn) {
 				return false
 			}
-		} else if child := n.children[i]; child != nil && !walkRange(child, lvl-1, start, lo, hi, fn) {
+		} else if child := n.children[i]; child != nil && !walkRange(child, lvl-1, start, lo, hi, write, fn) {
 			return false
 		}
 	}

@@ -319,3 +319,103 @@ func TestLeafHoldsNoPointers(t *testing.T) {
 		t.Errorf("leaf is %d bytes, want at most 8 KB of PTEs plus the bitmap", size)
 	}
 }
+
+// TestCloneCopyOnWrite: a clone shares its leaves with the original, and
+// every kind of write on either side — Map, Unmap, SetKey, SetWritable —
+// copies a shared leaf first, so the other side's contents never change.
+// Each side is compared against a reference table built by replaying
+// its own writes, and no leaf may stay shared after a write to it.
+func TestCloneCopyOnWrite(t *testing.T) {
+	bases := []uint64{0x4000_0000_0000 - 2<<20 + 0x1000, 0x7f00_0000_0000}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randVA := func() memlayout.VA {
+			return memlayout.VA(bases[rng.Intn(len(bases))] + uint64(rng.Intn(1024))*memlayout.PageSize)
+		}
+		// write applies one random write to every table in pts.
+		write := func(pts ...*Table) {
+			va, op := randVA(), rng.Intn(4)
+			r := memlayout.Region{Base: va, Size: uint64(rng.Intn(64)) * memlayout.PageSize}
+			pa, w, key := memlayout.PA(rng.Intn(1<<20))<<memlayout.PageShift, rng.Intn(2) == 0, uint8(rng.Intn(16))
+			for _, pt := range pts {
+				switch op {
+				case 0:
+					pt.Map(va, pa, w)
+				case 1:
+					pt.Unmap(va)
+				case 2:
+					pt.SetKey(r, key)
+				default:
+					pt.SetWritable(r, w)
+				}
+			}
+		}
+		orig, refA := New(), New()
+		for i := 0; i < 300; i++ {
+			write(orig, refA)
+		}
+		clone := orig.Clone()
+		refB := refA.Clone()
+		if got, want := clone.AppendTo(nil), orig.AppendTo(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: clone differs from the original", seed)
+		}
+		for i := 0; i < 200; i++ {
+			if rng.Intn(2) == 0 {
+				write(orig, refA)
+			} else {
+				write(clone, refB)
+			}
+		}
+		for _, c := range []struct {
+			name     string
+			pt, want *Table
+		}{{"original", orig, refA}, {"clone", clone, refB}} {
+			if !reflect.DeepEqual(c.pt.AppendTo(nil), c.want.AppendTo(nil)) {
+				t.Fatalf("seed %d: %s was changed by writes to the other table", seed, c.name)
+			}
+			if c.pt.Populated() != c.want.Populated() {
+				t.Fatalf("seed %d: %s Populated = %d, want %d", seed, c.name, c.pt.Populated(), c.want.Populated())
+			}
+			checkBitmaps(t, c.pt)
+		}
+	}
+}
+
+// TestConcurrentClonesOfSharedTable: a decoded table and a clone own no
+// leaf, so goroutines may clone one concurrently and write their clones
+// (run under the race detector). Every clone ends up with its own
+// writes only.
+func TestConcurrentClonesOfSharedTable(t *testing.T) {
+	src := New()
+	for i := 0; i < 2000; i++ {
+		src.Map(memlayout.VA(0x7f00_0000_0000+uint64(i*3)*memlayout.PageSize), memlayout.PA(i)<<memlayout.PageShift, true)
+	}
+	dec, err := DecodeTable(bincodec.NewReader(src.AppendTo(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := src.AppendTo(nil)
+	for _, shared := range []*Table{dec, src.Clone()} {
+		done := make(chan *Table)
+		for g := 0; g < 4; g++ {
+			go func(g int) {
+				c := shared.Clone()
+				for i := 0; i < 2000; i += 4 {
+					va := memlayout.VA(0x7f00_0000_0000 + uint64(i*3)*memlayout.PageSize)
+					c.Map(va, memlayout.PA(1000+g)<<memlayout.PageShift, false)
+					c.SetKey(memlayout.Region{Base: va, Size: memlayout.PageSize}, uint8(g+1))
+				}
+				done <- c
+			}(g)
+		}
+		for g := 0; g < 4; g++ {
+			c := <-done
+			if c.Populated() != shared.Populated() {
+				t.Errorf("clone Populated = %d, want %d", c.Populated(), shared.Populated())
+			}
+		}
+		if !reflect.DeepEqual(shared.AppendTo(nil), want) {
+			t.Error("writes to clones changed the shared table")
+		}
+	}
+}

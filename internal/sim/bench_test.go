@@ -261,7 +261,7 @@ func BenchmarkAttach1024(b *testing.B) {
 // BenchmarkRestore1024PMO measures serving one warm cell from stored
 // snapshot bytes on the Fig 6 shape at 1024 PMOs: decode the snapshot,
 // then restore it into a machine. Its allocation budget is dominated by
-// the page table, which both steps copy.
+// the page table, which decode builds and restore shares copy on write.
 func BenchmarkRestore1024PMO(b *testing.B) {
 	data, err := sim.EncodeSnapshot(pools1024Machine(b).Snapshot())
 	if err != nil {

@@ -19,9 +19,12 @@ import (
 // (via core.Snapshotter), and — when a recorder is attached — the
 // sampler position.
 //
-// A snapshot is immutable once taken: Restore deep-copies out of it,
-// never into it, so one snapshot can seed any number of machines,
-// concurrently. The only exception is Machine.SnapshotInto, which reuses
+// A snapshot is immutable once taken: Restore copies out of it, never
+// into it, so one snapshot can seed any number of machines,
+// concurrently. The page table is the one part shared rather than
+// copied: snapshot and machines share its leaves copy on write
+// (pagetable.Table.Clone), so a restore costs the page table's interior
+// nodes, and each machine copies only the leaves it writes. The only exception is Machine.SnapshotInto, which reuses
 // a snapshot's storage for a *new* capture — callers own the
 // no-longer-restoring-from-it guarantee.
 //

@@ -51,7 +51,8 @@ func Store(s Sink, th core.ThreadID, va memlayout.VA, size uint32) bool {
 }
 
 // Tee fans an event stream out to several sinks (e.g. simulate and record
-// simultaneously). Attach errors from any sink abort the attach.
+// simultaneously). Attach is all or nothing: an error from any sink
+// aborts the attach and detaches the sinks that had already accepted it.
 type Tee struct {
 	Sinks []Sink
 }
@@ -96,10 +97,16 @@ func (t *Tee) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site core.
 	}
 }
 
-// Attach implements Sink.
+// Attach implements Sink. On the first sink that rejects the attach,
+// the sinks before it are detached again, so a failed attach leaves no
+// sink holding the domain (the caller, e.g. pmo.Space.Attach, rolls back
+// only its own reservation).
 func (t *Tee) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) error {
-	for _, s := range t.Sinks {
+	for i, s := range t.Sinks {
 		if err := s.Attach(d, r, perm); err != nil {
+			for _, done := range t.Sinks[:i] {
+				done.Detach(d)
+			}
 			return err
 		}
 	}

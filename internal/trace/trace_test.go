@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,6 +135,37 @@ func TestCounter(t *testing.T) {
 	Store(&c, 1, 0x1000, 8)
 	if c.Loads == 0 || c.Stores == 0 {
 		t.Error("Load/Store helpers broken")
+	}
+}
+
+// rejectAttach is a Sink whose Attach always fails.
+type rejectAttach struct{ Counter }
+
+var errRejected = errors.New("attach rejected")
+
+func (*rejectAttach) Attach(core.DomainID, memlayout.Region, core.Perm) error { return errRejected }
+
+// TestTeeAttachRollsBack: a sink that rejects an attach makes the whole
+// Tee attach fail, the sinks before it are detached again, and the sinks
+// after it never see the attach.
+func TestTeeAttachRollsBack(t *testing.T) {
+	var before, after Counter
+	rej := &rejectAttach{}
+	tee := NewTee(&before, rej, &after)
+	err := tee.Attach(3, memlayout.Region{Base: 1 << 30, Size: 4096}, core.PermRW)
+	if !errors.Is(err, errRejected) {
+		t.Fatalf("Attach error = %v, want %v", err, errRejected)
+	}
+	if before.Attaches != 1 || before.Detaches != 1 {
+		t.Errorf("sink before the rejecting one: %d attaches, %d detaches, want 1 and 1",
+			before.Attaches, before.Detaches)
+	}
+	if rej.Detaches != 0 {
+		t.Errorf("rejecting sink was detached %d times, want 0", rej.Detaches)
+	}
+	if after.Attaches != 0 || after.Detaches != 0 {
+		t.Errorf("sink after the rejecting one: %d attaches, %d detaches, want 0 and 0",
+			after.Attaches, after.Detaches)
 	}
 }
 

@@ -158,6 +158,15 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
+// Unregister removes the workload registered under name, if any. Tests
+// that register a workload of their own use it to leave the registry as
+// they found it.
+func Unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(registry, name)
+}
+
 // New instantiates the named workload.
 func New(name string) (Workload, error) {
 	regMu.Lock()

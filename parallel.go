@@ -28,17 +28,22 @@ func (c expCell) label() string {
 }
 
 // runGrid evaluates every cell with a bounded worker pool and returns
-// the results keyed by cell. Each cell builds its own machine and
-// workload, so cells share no mutable state and the outcome is
-// independent of scheduling; callers aggregate in their own fixed order,
-// which keeps reports byte-identical to the sequential path. Workers <= 0
-// selects GOMAXPROCS; Workers == 1 runs inline. On failure the error of
-// the lowest-indexed failing cell is returned — the same one the
-// sequential path would have hit first.
+// the results keyed by cell. With opt.Snapshots set, the cells that
+// share a workload and parameters form one group, run from a single
+// workload pass over one restored machine per scheme (runGroup);
+// otherwise every cell is its own group. The pool schedules groups. Each
+// group builds its own machines and workload, so groups share no mutable
+// state and the outcome is independent of scheduling and of grouping;
+// callers aggregate in their own fixed order, which keeps reports
+// byte-identical to the sequential path. Workers <= 0 selects
+// GOMAXPROCS; Workers == 1 runs inline. On failure the error of the
+// lowest-indexed failing cell is returned — the same one the sequential
+// path would have hit first.
 //
 // When opt.Progress is set, each completed cell prints one
 // "[done/total] label" line (ordering follows completion, content does
-// not). When opt.Obs.Dir is set, every cell runs observed and the grid's
+// not); a group's lines print together when the group completes. When
+// opt.Obs.Dir is set, every cell runs observed and the grid's
 // observability data is exported there after all cells finish; the
 // export loop runs in fixed cell order, so the files are deterministic.
 func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
@@ -53,9 +58,6 @@ func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
 			seen[c] = true
 			uniq = append(uniq, c)
 		}
-	}
-	if workers > len(uniq) {
-		workers = len(uniq)
 	}
 	observed := opt.Obs.Dir != ""
 
@@ -79,36 +81,47 @@ func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
 		return out, nil
 	}
 
+	groups := groupCells(uniq, opt.Snapshots != nil)
+	if workers > len(groups) {
+		workers = len(groups)
+	}
+	var o *ObsOptions
+	if observed {
+		o = &ObsOptions{Epoch: opt.Obs.Epoch}
+	}
 	prog := obs.NewProgress(opt.Progress, len(uniq))
 	results := make([]Result, len(uniq))
 	recs := make([]*obs.Recorder, len(uniq))
 	errs := make([]error, len(uniq))
-	runCell := func(i int) {
-		c := uniq[i]
-		var hit bool
-		if observed {
-			results[i], recs[i], hit, errs[i] = RunObservedCached(c.name, c.p, c.scheme, opt.Cfg,
-				ObsOptions{Epoch: opt.Obs.Epoch}, opt.Snapshots)
-		} else {
-			results[i], hit, errs[i] = RunCached(c.name, c.p, c.scheme, opt.Cfg, opt.Snapshots)
+	runGroupAt := func(g int) {
+		idx := groups[g]
+		c0 := uniq[idx[0]]
+		schemes := make([]Scheme, len(idx))
+		for k, i := range idx {
+			schemes[k] = uniq[i].scheme
 		}
-		if errs[i] != nil {
-			prog.Logf("FAIL %s: %v", c.label(), errs[i])
-			return
-		}
-		label := c.label()
-		if opt.Snapshots != nil {
-			if hit {
-				label += " (snapshot)"
-			} else {
-				label += " (warmup)"
+		runs := runGroup(c0.name, c0.p, schemes, opt.Cfg, opt.Snapshots, o)
+		for k, i := range idx {
+			results[i], recs[i], errs[i] = runs[k].res, runs[k].rec, runs[k].err
+			c := uniq[i]
+			if errs[i] != nil {
+				prog.Logf("FAIL %s: %v", c.label(), errs[i])
+				continue
 			}
+			label := c.label()
+			if opt.Snapshots != nil {
+				if runs[k].hit {
+					label += " (snapshot)"
+				} else {
+					label += " (warmup)"
+				}
+			}
+			prog.Done(label)
 		}
-		prog.Done(label)
 	}
 	if workers <= 1 {
-		for i := range uniq {
-			runCell(i)
+		for g := range groups {
+			runGroupAt(g)
 		}
 	} else {
 		jobs := make(chan int)
@@ -117,13 +130,13 @@ func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range jobs {
-					runCell(i)
+				for g := range jobs {
+					runGroupAt(g)
 				}
 			}()
 		}
-		for i := range uniq {
-			jobs <- i
+		for g := range groups {
+			jobs <- g
 		}
 		close(jobs)
 		wg.Wait()
@@ -148,6 +161,30 @@ func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
 		out[c] = results[i]
 	}
 	return out, nil
+}
+
+// groupCells partitions the indices of cells into execution groups in
+// first-appearance order. With shared, cells with the same workload and
+// parameters form one group; otherwise each cell is its own group, since
+// cells that simulate their own setup share no pass and a group would
+// only keep more machines live.
+func groupCells(cells []expCell, shared bool) [][]int {
+	type key struct {
+		name string
+		p    Params
+	}
+	var groups [][]int
+	at := make(map[key]int)
+	for i, c := range cells {
+		k := key{c.name, c.p}
+		if g, ok := at[k]; ok && shared {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		at[k] = len(groups)
+		groups = append(groups, []int{i})
+	}
+	return groups
 }
 
 // cellObs is one cell's observability artifact set in rendered form:

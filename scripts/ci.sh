@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ci.sh — the full local gate: vet, build, and the race-enabled test
+# ci.sh — the full local gate: vet, gofmt, build, and the race-enabled test
 # suite (which includes the 1,000-program differential conformance
 # campaign in internal/conformance), followed by the observability
 # gates: the byte-determinism tests, a pmosim -obs-out smoke run whose
@@ -19,6 +19,11 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go vet ./internal/obs/
+# Formatting gate: gofmt -l prints every file whose formatting differs.
+# The file list comes from git so that ignored build output
+# (.bench_build/) is not scanned.
+unformatted="$(git ls-files -co --exclude-standard -z '*.go' | xargs -0 gofmt -l)"
+[ -z "$unformatted" ] || { echo "gofmt needed on:" >&2; echo "$unformatted" >&2; exit 1; }
 go build ./...
 # -timeout raised above the Go default: the full race-enabled suite is
 # ~10 minutes of real simulation on a single-CPU container.
@@ -42,6 +47,15 @@ go test -race ./internal/serve/... ./internal/pmo/... ./internal/cluster/...
 go test -race ./internal/persist/ ./internal/txn/ ./internal/crashconform/
 go run ./cmd/pmosim -crashconform -crashconform-workloads 40
 go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
+
+# Grouped grid execution: a snapshot-served grid runs each (workload,
+# params) group's schemes from one workload pass teed into one restored
+# machine per scheme, and must match the per-cell grid row for row and
+# export for export; a group in which a machine faults or rejects an
+# attach must fall back to per-cell runs.
+# Run repeatedly under the race detector with 1 and 4 workers.
+go test -race -count=3 -run 'TestGroupedGridMatchesPerCell|TestGroupedFallbackMatchesPerCell|TestWarmupHandsOwnMachine' .
+go test -race -count=3 -run 'TestTeeAttachRollsBack' ./internal/trace/
 
 # Host-time fast paths: the page-driven TLB shootdown, the present-page
 # bitmaps, and the sorted span index each have a differential test

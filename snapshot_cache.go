@@ -5,11 +5,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"time"
 
 	"domainvirt/internal/core"
 	"domainvirt/internal/memlayout"
-	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
 	"domainvirt/internal/snapstore"
 	"domainvirt/internal/tlb"
@@ -213,41 +211,48 @@ func (c *SnapshotCache) PutEncoded(key string, data []byte) error {
 }
 
 // loadCheckpoint tries to serve a stored checkpoint (warmup or mid-run)
-// under key. A decodable file is validated by a restore into a throwaway
-// machine of the cell's geometry, so every later Restore from the
+// under key. A decodable file is validated by a restore into a probe
+// machine of the cell's configuration, so every later Restore from the
 // returned snapshot is panic-free; any rejection deletes the file and
-// reports a miss (the caller rebuilds and overwrites). The probe's
-// Result is returned alongside — for a mid-run checkpoint it is exactly
-// the Result an independent run at that horizon would produce.
-func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Snapshot, Result, bool) {
+// reports a miss (the caller rebuilds and overwrites). The probe is
+// returned alongside: it is the machine a fresh Restore of the snapshot
+// under cfg would give, so the caller runs on it instead of restoring
+// again, and its Result at a mid-run checkpoint is exactly the Result an
+// independent run at that horizon would produce.
+func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Snapshot, *sim.Machine, bool) {
 	if c.store == nil {
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	data, err := c.store.Get(key)
 	if err != nil {
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	snap, err := sim.DecodeSnapshot(data)
 	if err != nil {
 		c.count(func(s *SnapshotCacheStats) { s.DiskRejects++ })
 		c.store.Delete(key)
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	probe := sim.NewMachine(cfg, scheme)
 	if err := probe.RestoreSafe(snap); err != nil {
 		c.count(func(s *SnapshotCacheStats) { s.DiskRejects++ })
 		c.store.Delete(key)
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	c.count(func(s *SnapshotCacheStats) { s.DiskHits++ })
-	return snap, probe.Result(), true
+	return snap, probe, true
 }
 
 // sinkSwitch delegates the trace.Sink interface to a swappable inner
 // sink. A forked cell rebuilds its Go-side workload state (pools, data
 // structures, attachments) by running Setup against Discard — no
-// simulation — then swaps the restored machine in for the measured Run.
-type sinkSwitch struct{ inner trace.Sink }
+// simulation — then swaps the restored machine (or a Tee over a group's
+// machines) in for the measured Run. It notes any failed Attach, which
+// a workload may swallow without failing its Run.
+type sinkSwitch struct {
+	inner        trace.Sink
+	attachFailed bool
+}
 
 func (s *sinkSwitch) Instr(th ThreadID, n uint64) { s.inner.Instr(th, n) }
 func (s *sinkSwitch) Access(th ThreadID, va VA, size uint32, write bool) bool {
@@ -258,7 +263,11 @@ func (s *sinkSwitch) SetPerm(th ThreadID, d DomainID, p Perm, site core.SiteID) 
 	s.inner.SetPerm(th, d, p, site)
 }
 func (s *sinkSwitch) Attach(d DomainID, r memlayout.Region, perm Perm) error {
-	return s.inner.Attach(d, r, perm)
+	err := s.inner.Attach(d, r, perm)
+	if err != nil {
+		s.attachFailed = true
+	}
+	return err
 }
 func (s *sinkSwitch) Detach(d DomainID) { s.inner.Detach(d) }
 func (s *sinkSwitch) Fence(th ThreadID) { s.inner.Fence(th) }
@@ -274,8 +283,14 @@ const (
 
 // warmup serves (building if needed) the warmup checkpoint for one cell.
 // A nil snapshot means the cell's setup is not forkable — the workload
-// errored or its setup raised faults — and the caller must fall back to
-// the uncached path.
+// errored or its setup raised faults — or the cache is nil, and the
+// caller must fall back to the uncached path. When this call built the
+// checkpoint, or loaded it from the store, the machine that took or
+// validated it is handed over too: it was built with this cell's cfg and
+// holds the checkpoint's state, which Restore guarantees is
+// indistinguishable from a fresh restore. Every other call gets a nil
+// machine and restores its own, because later cells sharing the
+// checkpoint may differ in cost parameters.
 //
 // Safety: forked cells replay Setup against a Discard sink, which
 // permits everything. That is behaviorally identical to the real setup
@@ -283,15 +298,20 @@ const (
 // returns zeros and could steer subsequent setup work), so the builder
 // demands zero domain and page faults during the simulated setup before
 // caching.
-func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config) (*sim.Snapshot, warmupSource) {
+func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config) (*sim.Snapshot, *sim.Machine, warmupSource) {
+	if c == nil {
+		return nil, nil, warmupBuilt
+	}
 	key := snapKey{name: name, p: warmupParams(p), scheme: scheme, sc: structuralOf(cfg)}
 	e := c.entry(key)
 	src := warmupMem
+	var own *sim.Machine
 	e.once.Do(func() {
-		if snap, _, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
+		if snap, m, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
 			src = warmupDisk
 			e.snap = snap
 			e.ok = true
+			own = m
 			return
 		}
 		src = warmupBuilt
@@ -311,6 +331,7 @@ func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config)
 		m.ResetStats()
 		e.snap = m.Snapshot()
 		e.ok = true
+		own = m
 		if c.store != nil {
 			if data, encErr := sim.EncodeSnapshot(e.snap); encErr == nil {
 				// Best-effort write-through: a full disk degrades to the
@@ -320,75 +341,12 @@ func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config)
 		}
 	})
 	if !e.ok {
-		return nil, src
+		return nil, nil, src
 	}
 	if src == warmupMem {
 		c.count(func(s *SnapshotCacheStats) { s.MemHits++ })
 	}
-	return e.snap, src
-}
-
-// runCachedMachine is runMachine with warmup snapshot reuse. The second
-// return value reports whether the cell was served from a cached
-// checkpoint (false for the cell that built it, and for fallbacks).
-func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (Result, bool, error) {
-	if cache == nil {
-		res, err := runMachine(name, p, scheme, cfg, rec)
-		return res, false, err
-	}
-	w, err := workload.New(name)
-	if err != nil {
-		return Result{}, false, err
-	}
-	snap, src := cache.warmup(name, p, scheme, cfg)
-	if snap == nil {
-		res, err := runMachine(name, p, scheme, cfg, rec)
-		return res, false, err
-	}
-
-	// Fork: rebuild Go-side workload state without simulation, then run
-	// the measured phase on a machine restored from the checkpoint.
-	sw := &sinkSwitch{inner: trace.Discard{}}
-	env := workload.NewEnv(sw, p)
-	if err := w.Setup(env); err != nil {
-		return Result{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
-	}
-	m := sim.NewMachine(cfg, scheme)
-	m.Restore(snap)
-	sw.inner = m
-
-	var start time.Time
-	if rec != nil {
-		rp := env.P
-		rec.SetManifest(obs.Manifest{
-			Scheme:      string(scheme),
-			Workload:    name,
-			Seed:        rp.Seed,
-			Ops:         rp.Ops,
-			Threads:     rp.Threads,
-			Cores:       m.NumCores(),
-			PMOs:        rp.NumPMOs,
-			Epoch:       rec.EpochLen(),
-			ConfigHash:  obs.ConfigHash(cfg),
-			ToolVersion: obs.ToolVersion,
-		})
-		m.SetRecorder(rec)
-		start = time.Now()
-	}
-	runErr := w.Run(env)
-	if rec != nil {
-		rec.StampWall(time.Since(start))
-		m.FlushObs()
-	}
-	if runErr != nil {
-		return Result{}, false, fmt.Errorf("domainvirt: %s run under %s: %w", name, scheme, runErr)
-	}
-	res := m.Result()
-	if res.Counters.DomainFaults > 0 || res.Counters.PageFaults > 0 {
-		return res, false, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
-			name, scheme, res.Counters.DomainFaults, res.Counters.PageFaults, m.Faults())
-	}
-	return res, src != warmupBuilt, nil
+	return e.snap, own, src
 }
 
 // RunCached is Run with warmup snapshot reuse through cache (nil cache
@@ -396,14 +354,14 @@ func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs
 // was served from a checkpoint built by an earlier cell with the same
 // workload, parameters, scheme, and structural configuration.
 func RunCached(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache) (Result, bool, error) {
-	return runCachedMachine(name, p, scheme, cfg, nil, cache)
+	r := runGroup(name, p, []Scheme{scheme}, cfg, cache, nil)[0]
+	return r.res, r.hit, r.err
 }
 
 // RunObservedCached is RunObserved with warmup snapshot reuse. The
 // recorder observes the measured phase only, exactly as in RunObserved;
 // exports are byte-identical to the uncached path.
 func RunObservedCached(name string, p Params, scheme Scheme, cfg Config, o ObsOptions, cache *SnapshotCache) (Result, *Recorder, bool, error) {
-	rec := obs.NewRecorder(o)
-	res, hit, err := runCachedMachine(name, p, scheme, cfg, rec, cache)
-	return res, rec, hit, err
+	r := runGroup(name, p, []Scheme{scheme}, cfg, cache, &o)[0]
+	return r.res, r.rec, r.hit, r.err
 }
